@@ -5,7 +5,10 @@
 //! the counters telescope: the per-tick/end-of-run audits (which check
 //! per-queue sums against port totals against the aggregate metrics)
 //! pass, and the snapshot agrees with the fault ledger and the metrics
-//! registry it mirrors.
+//! registry it mirrors. A counter registered mid-run that no component
+//! maintains trips the very next audit tick.
+
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -15,8 +18,11 @@ use fld_bench::experiments::echo::{run_echo, steer_to_accel};
 use fld_bench::experiments::rack::build_rack;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
 use fld_core::rdma_system::{MsgEcho, RdmaConfig, RdmaSystem};
-use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
-use fld_sim::counters::CounterSnapshot;
+use fld_core::system::{
+    AccelOutput, AcceleratorModel, ClientGen, FldSystem, GenMode, HostMode, SystemConfig,
+};
+use fld_nic::packet::SimPacket;
+use fld_sim::counters::{CounterSnapshot, CounterTree};
 use fld_sim::fault::{FaultEvent, FaultKind, FaultLedger, FaultPlan, FaultSchedule};
 use fld_sim::health::HealthConfig;
 use fld_sim::time::{Bandwidth, SimDuration, SimTime};
@@ -87,6 +93,73 @@ fn golden_dump_round_trips_to_an_empty_diff() {
     );
     let exceeded = diff(&parsed, &parsed, &Thresholds::exact()).expect("labels match");
     assert_eq!(exceeded, Vec::new());
+}
+
+/// An echo accelerator that, on its first job at or after `from`,
+/// registers and bumps `flow/x/packets` — a counter no component
+/// maintains, so the per-flow sum no longer matches the port total.
+#[derive(Debug)]
+struct StrayCounter {
+    echo: EchoAccelerator,
+    from: SimTime,
+    tree: Arc<OnceLock<CounterTree>>,
+    registered_at: Arc<OnceLock<SimTime>>,
+}
+
+impl AcceleratorModel for StrayCounter {
+    fn process(&mut self, pkt: SimPacket, next_table: Option<u16>, now: SimTime) -> AccelOutput {
+        if now >= self.from && self.registered_at.get().is_none() {
+            let tree = self.tree.get().expect("tree handed over before the run");
+            tree.counter("flow/x/packets").inc();
+            self.registered_at.set(now).expect("registered once");
+        }
+        self.echo.process(pkt, next_table, now)
+    }
+}
+
+/// The per-tick audit sees counters registered after its groups were
+/// first summed: a stray per-flow counter appearing mid-run fails the
+/// `counters.flow` telescoping check at the next tick.
+#[cfg(feature = "trace")]
+#[test]
+fn counter_registered_mid_run_trips_the_next_audit_tick() {
+    let interval = SimDuration::from_micros(1);
+    let tree = Arc::new(OnceLock::new());
+    let registered_at = Arc::new(OnceLock::new());
+    let accel = StrayCounter {
+        echo: EchoAccelerator::prototype(),
+        from: SimTime::from_micros(20),
+        tree: Arc::clone(&tree),
+        registered_at: Arc::clone(&registered_at),
+    };
+    let gen = ClientGen::fixed_udp(GenMode::ClosedLoop { window: 4 }, 64, 256);
+    let mut sys = FldSystem::new(
+        SystemConfig::remote(),
+        Box::new(accel),
+        HostMode::Consume,
+        gen,
+    );
+    steer_to_accel(&mut sys.nic);
+    tree.set(sys.counter_tree().clone())
+        .expect("handed over once");
+    sys.enable_flight_recorder(interval);
+    let stats = sys.run(SimTime::ZERO, SimTime::from_millis(1));
+
+    let at = *registered_at
+        .get()
+        .expect("the accelerator ran a job after the first ticks");
+    let first = stats
+        .audit
+        .recorded
+        .first()
+        .expect("the stray counter broke per-flow telescoping");
+    assert_eq!(first.invariant, "counter-telescope", "{first}");
+    assert_eq!(first.component, "counters.flow", "{first}");
+    assert!(
+        first.at > at && first.at <= at + interval,
+        "registered at {} ns, first violation {first}",
+        at.as_nanos()
+    );
 }
 
 /// A small seeded rack — 2 nodes, 3 tenants, 4 tx queues per node,

@@ -2,8 +2,8 @@
 //! (profiling toggled at runtime leaves traces byte-identical and adds
 //! exactly one timeline series), the telescoping phase-attribution
 //! invariant on a real echo run, allocation-count reproducibility under
-//! the counting allocator, and the folded-stacks flamegraph format
-//! golden.
+//! the counting allocator, the allocation-free per-tick audit on the
+//! chaos rack, and the folded-stacks flamegraph format golden.
 //!
 //! These tests live in their own integration-test binary (= their own
 //! process) because they toggle the process-wide `fld_sim::prof`
@@ -14,7 +14,9 @@
 use std::sync::Mutex;
 
 use fld_accel::echo::EchoAccelerator;
+use fld_bench::experiments::chaos;
 use fld_bench::experiments::echo::steer_to_accel;
+use fld_bench::Scale;
 use fld_core::system::{ClientGen, FldSystem, GenMode, HostMode, RunStats, SystemConfig};
 use fld_sim::prof;
 use fld_sim::time::{SimDuration, SimTime};
@@ -151,6 +153,39 @@ fn allocation_counts_are_reproducible_across_reruns() {
             .unwrap_or_else(|| panic!("{} missing from rerun", pa.name));
         assert_eq!((pa.calls, pa.allocs), (pb.calls, pb.allocs), "{}", pa.name);
     }
+}
+
+/// A passing per-tick audit allocates nothing: counter-group sums come
+/// from the tree's resolved groups and component names are built once.
+/// Measured on the quick chaos rack leg (`chaos --topology rack
+/// --quick`, fault seed 1): both runs sample every 10 µs, and every
+/// tick audits four nodes' counter telescoping, fault attribution and
+/// the fabric. What allocations remain are one-time group and name
+/// construction and rebuilds after new flows register.
+#[cfg(all(feature = "prof", feature = "trace"))]
+#[test]
+fn per_tick_audit_does_not_allocate_on_the_chaos_rack() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = prof::take_global();
+    prof::set_enabled(true);
+    let legs = chaos::run_rack_leg(Scale::quick(), 1);
+    prof::set_enabled(false);
+    let profile = prof::take_global().expect("both rack runs were profiled");
+    assert!(legs.baseline.audit.passed(), "{}", legs.baseline.audit);
+    assert!(legs.faulted.audit.passed(), "{}", legs.faulted.audit);
+    let audit = profile
+        .phases
+        .iter()
+        .find(|p| p.name == "sample.audit")
+        .expect("the flight recorder ran per-tick audits");
+    assert!(audit.calls >= 1000, "only {} audit ticks", audit.calls);
+    let per_call = audit.allocs as f64 / audit.calls as f64;
+    assert!(
+        per_call < 5.0,
+        "sample.audit allocates {per_call:.1} times per tick ({} allocs over {} ticks)",
+        audit.allocs,
+        audit.calls
+    );
 }
 
 /// The zero-cost-when-off guarantee at runtime: with profiling disarmed

@@ -447,6 +447,7 @@ pub struct FldDevice {
     pub tx: FldTx,
     /// Receive module.
     pub rx: FldRx,
+    audit_names: fld_sim::audit::PartNames,
 }
 
 impl FldDevice {
@@ -455,6 +456,7 @@ impl FldDevice {
         FldDevice {
             tx: FldTx::new(config),
             rx: FldRx::new(config),
+            audit_names: Default::default(),
         }
     }
 
@@ -501,23 +503,28 @@ impl fld_sim::engine::Component for FldDevice {
             self.tx.completed(),
             self.tx.descriptors_in_use(),
         );
-        auditor.check_conservation(at, &format!("{name}.tx_ring"), enq, comp, 0, in_use);
+        let [tx_ring, descriptors, queues, rx_ring] = self.audit_names.get(
+            name,
+            [
+                "tx_ring",
+                "tx_ring.descriptors",
+                "tx_ring.queues",
+                "rx_ring",
+            ],
+        );
+        auditor.check_conservation(at, tx_ring, enq, comp, 0, in_use);
         auditor.check_credits(
             at,
-            &format!("{name}.tx_ring.descriptors"),
+            descriptors,
             self.tx.descriptor_credits() as u64,
             self.tx.descriptor_pool(),
         );
-        auditor.check_occupancy(at, &format!("{name}.tx_ring"), self.tx.occupancy());
+        auditor.check_occupancy(at, tx_ring, self.tx.occupancy());
         let (q_total, b_used) = (self.tx.queue_bytes_total(), self.tx.buffer_used());
-        auditor.check(
-            at,
-            &format!("{name}.tx_ring.queues"),
-            "conservation",
-            q_total == b_used,
-            || format!("per-queue bytes {q_total} != buffer in use {b_used}"),
-        );
-        auditor.check_occupancy(at, &format!("{name}.rx_ring"), self.rx.occupancy());
+        auditor.check(at, queues, "conservation", q_total == b_used, || {
+            format!("per-queue bytes {q_total} != buffer in use {b_used}")
+        });
+        auditor.check_occupancy(at, rx_ring, self.rx.occupancy());
     }
 
     fn export_metrics(

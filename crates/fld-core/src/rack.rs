@@ -590,6 +590,8 @@ pub struct Rack {
     nodes: Vec<FldSystem>,
     /// One egress port per destination node.
     ports: Vec<FabricPort>,
+    /// `fabric.port.<d>`: each port's probe and audit name.
+    port_names: Vec<String>,
     pop: Box<dyn FlowPopulation>,
     // Rack-level counter tree and pre-resolved per-port handles.
     counters: CounterTree,
@@ -634,6 +636,7 @@ impl Rack {
         let ports = (0..cfg.nodes)
             .map(|_| FabricPort::new(cfg.port_rate, cfg.port_latency, cfg.port_buffer))
             .collect();
+        let port_names = (0..cfg.nodes).map(|d| format!("fabric.port.{d}")).collect();
         let counters = CounterTree::new();
         let port_ctrs = (0..cfg.nodes)
             .map(|d| {
@@ -648,6 +651,7 @@ impl Rack {
             rng: SimRng::seed_from(cfg.seed),
             nodes,
             ports,
+            port_names,
             pop,
             counters,
             port_ctrs,
@@ -1253,8 +1257,8 @@ impl Model for Rack {
     /// Rack-level probe series only: per-node series would collide in
     /// the shared timeline, and the fabric is what this model adds.
     fn probes(&mut self, now: SimTime, interval: SimDuration, out: &mut Probes) {
-        for (d, port) in self.ports.iter_mut().enumerate() {
-            port.probes(&format!("fabric.port.{d}"), now, interval, out);
+        for (port, name) in self.ports.iter_mut().zip(&self.port_names) {
+            port.probes(name, now, interval, out);
         }
         out.push("rack.flows.active", self.pop.active_count() as f64);
         out.push("rack.offered", self.offered as f64);
@@ -1299,13 +1303,8 @@ impl Model for Rack {
             });
         }
         // Port credit accounting never exceeds the configured buffer.
-        for (d, port) in self.ports.iter().enumerate() {
-            auditor.check_credits(
-                at,
-                &format!("fabric.port.{d}"),
-                port.credits(at),
-                port.buffer,
-            );
+        for (port, name) in self.ports.iter().zip(&self.port_names) {
+            auditor.check_credits(at, name, port.credits(at), port.buffer);
         }
         // Cross-layer conservation: nodes can only have received what the
         // fabric forwarded, less what died at faulted boundaries (the

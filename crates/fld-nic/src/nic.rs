@@ -98,6 +98,7 @@ pub struct Nic {
     ctr_policer_drop: Counter,
     /// SR-IOV virtual functions (empty ⇒ disabled, every hook a no-op).
     sriov: SrIov,
+    audit_names: fld_sim::audit::PartNames,
 }
 
 impl Nic {
@@ -118,6 +119,7 @@ impl Nic {
             ctr_miss: Counter::detached(),
             ctr_policer_drop: Counter::detached(),
             sriov: SrIov::new(),
+            audit_names: Default::default(),
         }
     }
 
@@ -394,9 +396,11 @@ impl fld_sim::engine::Component for Nic {
     fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
         let tokens = self.shaper_tokens(at);
         let burst = self.shaper_burst_bytes() as f64;
+        let [shaper, vf_shaper, sriov] =
+            self.audit_names.get(name, ["shaper", "vf.shaper", "sriov"]);
         auditor.check(
             at,
-            &format!("{name}.shaper"),
+            shaper,
             "credits",
             (0.0..=burst + 1e-6).contains(&tokens),
             || format!("token level {tokens} outside pool 0..={burst}"),
@@ -406,13 +410,12 @@ impl fld_sim::engine::Component for Nic {
             let vf_burst = self.sriov.shaper_burst_bytes() as f64;
             auditor.check(
                 at,
-                &format!("{name}.vf.shaper"),
+                vf_shaper,
                 "credits",
                 (0.0..=vf_burst + 1e-6).contains(&vf_tokens),
                 || format!("vf token level {vf_tokens} outside pool 0..={vf_burst}"),
             );
-            self.sriov
-                .audit_wired(&format!("{name}.sriov"), at, auditor);
+            self.sriov.audit_wired(sriov, at, auditor);
         }
     }
 

@@ -193,6 +193,7 @@ pub struct RcQp {
     /// Counter-tree handles (`qp/<qpn>/...`), detached until
     /// [`RcQp::wire_counters`].
     ctr: QpCounters,
+    audit_names: fld_sim::audit::PartNames,
 }
 
 /// The per-QP counter group (one handle per exported statistic).
@@ -238,6 +239,7 @@ impl RcQp {
             out_of_window: 0,
             duplicate_acks: 0,
             ctr: QpCounters::default(),
+            audit_names: Default::default(),
         }
     }
 
@@ -763,18 +765,14 @@ impl fld_sim::engine::Component for RcQp {
     /// Window-credit bound plus PSN monotonicity of both sequence
     /// counters.
     fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
-        auditor.check_credits(
-            at,
-            &format!("{name}.inflight"),
-            self.inflight_packets() as u64,
-            self.window() as u64,
-        );
-        auditor.check_psn(at, &format!("{name}.next_psn"), u64::from(self.next_psn()));
-        auditor.check_psn(
-            at,
-            &format!("{name}.expected_psn"),
-            u64::from(self.expected_psn()),
-        );
+        let (inflight, window) = (self.inflight_packets() as u64, self.window() as u64);
+        let (next_psn, expected_psn) = (self.next_psn(), self.expected_psn());
+        let [inflight_name, next_psn_name, expected_psn_name] = self
+            .audit_names
+            .get(name, ["inflight", "next_psn", "expected_psn"]);
+        auditor.check_credits(at, inflight_name, inflight, window);
+        auditor.check_psn(at, next_psn_name, u64::from(next_psn));
+        auditor.check_psn(at, expected_psn_name, u64::from(expected_psn));
     }
 
     /// Exports `"{name}.retransmits"`, `"{name}.timeouts"`,

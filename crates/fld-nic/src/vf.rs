@@ -364,8 +364,8 @@ impl SrIov {
     /// [`SrIov::audit`] against the tree this state was wired into
     /// (no-op before wiring or with no VFs).
     pub fn audit_wired(&self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
-        if let Some(tree) = self.tree.clone() {
-            self.audit(name, at, &tree, auditor);
+        if let Some(tree) = &self.tree {
+            self.audit(name, at, tree, auditor);
         }
     }
 

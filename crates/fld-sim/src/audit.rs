@@ -244,13 +244,15 @@ impl Auditor {
     /// forward (modulo the PSN space; a forward step of less than half
     /// the space counts as forward).
     pub fn check_psn(&mut self, at: SimTime, qp: &str, psn: u64) {
-        if let Some(&last) = self.last_psn.get(qp) {
-            let forward = (psn + PSN_MOD - last) % PSN_MOD;
-            self.check(at, qp, "psn-monotonic", forward < PSN_MOD / 2, || {
-                format!("PSN moved backwards: {last} -> {psn}")
-            });
-        }
-        self.last_psn.insert(qp.to_string(), psn % PSN_MOD);
+        let Some(slot) = self.last_psn.get_mut(qp) else {
+            self.last_psn.insert(qp.to_string(), psn % PSN_MOD);
+            return;
+        };
+        let last = std::mem::replace(slot, psn % PSN_MOD);
+        let forward = (psn + PSN_MOD - last) % PSN_MOD;
+        self.check(at, qp, "psn-monotonic", forward < PSN_MOD / 2, || {
+            format!("PSN moved backwards: {last} -> {psn}")
+        });
     }
 
     /// Checks evaluated so far.
@@ -270,6 +272,28 @@ impl Auditor {
             violations: self.total_violations,
             recorded: self.violations.clone(),
         }
+    }
+}
+
+/// The dotted names (`"{scope}.{part}"`) a component reports its
+/// audited parts under. They are rendered on the component's first
+/// audit and reused while it is audited under the same scope, so a
+/// passing per-tick check allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PartNames {
+    scope: String,
+    names: Vec<String>,
+}
+
+impl PartNames {
+    /// The names of `parts` under `scope`, in `parts` order. A component
+    /// passes the same `parts` on every call.
+    pub fn get<const N: usize>(&mut self, scope: &str, parts: [&str; N]) -> &[String; N] {
+        if self.names.len() != N || self.scope != scope {
+            self.scope = scope.to_string();
+            self.names = parts.iter().map(|part| format!("{scope}.{part}")).collect();
+        }
+        self.names.as_slice().try_into().expect("one name per part")
     }
 }
 
@@ -377,6 +401,17 @@ mod tests {
         assert_eq!(a.violations(), 0);
         a.check_psn(t(3), "qp", 1); // backwards
         assert_eq!(a.violations(), 1);
+    }
+
+    #[test]
+    fn part_names_are_scoped_and_follow_a_new_scope() {
+        let mut names = PartNames::default();
+        assert_eq!(
+            names.get("fld", ["tx_ring", "rx_ring"]),
+            &["fld.tx_ring", "fld.rx_ring"]
+        );
+        assert_eq!(names.get("fld", ["tx_ring", "rx_ring"])[1], "fld.rx_ring");
+        assert_eq!(names.get("nic", ["tx_ring", "rx_ring"])[0], "nic.tx_ring");
     }
 
     #[test]

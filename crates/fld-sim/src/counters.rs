@@ -20,7 +20,9 @@
 //! export: a versioned JSON dump plus an `ethtool -S`-style text
 //! rendering.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -74,11 +76,45 @@ impl Default for Counter {
 /// cells, in sorted order.
 ///
 /// Cloning yields another handle on the same tree (a system hands it to
-/// every component it wires). Registration takes the lock; increments
-/// through the returned [`Counter`] never do.
+/// every component it wires). Every tree method takes the lock —
+/// registration, [`CounterTree::get`], the sums and
+/// [`CounterTree::snapshot`]; increments through the returned
+/// [`Counter`] never do.
+///
+/// The sums the auditor runs at every flight-recorder tick are served
+/// from a cache of resolved counter groups: the first
+/// [`CounterTree::sum_prefix`] or [`CounterTree::sum_leaf`] query for a
+/// `(prefix, leaf)` pair collects the matching cells once, and later
+/// queries load just those cells. Registering a new path bumps the
+/// tree's generation, and a group resolved under an older generation is
+/// collected again on its next query, so paths registered after the
+/// first tick (new flows, late-wired entities) are never missed.
 #[derive(Debug, Clone, Default)]
 pub struct CounterTree {
-    inner: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,
+    inner: Arc<Mutex<Registry>>,
+}
+
+#[derive(Debug, Default)]
+struct Registry {
+    paths: BTreeMap<String, Arc<AtomicU64>>,
+    /// Bumped by every registration of a new path.
+    generation: u64,
+    /// Resolved groups by prefix: the whole subtree, and per leaf.
+    groups: HashMap<String, PrefixGroups>,
+}
+
+#[derive(Debug, Default)]
+struct PrefixGroups {
+    whole: Group,
+    by_leaf: HashMap<String, Group>,
+}
+
+/// The cells one sum reads, as of `generation`. The default — no
+/// cells at generation 0 — is exact for a tree with nothing registered.
+#[derive(Debug, Default)]
+struct Group {
+    generation: u64,
+    cells: Vec<Arc<AtomicU64>>,
 }
 
 impl CounterTree {
@@ -87,7 +123,7 @@ impl CounterTree {
         CounterTree::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Registry> {
         self.inner.lock().expect("counter tree poisoned")
     }
 
@@ -108,49 +144,47 @@ impl CounterTree {
                 && !path.contains("//"),
             "malformed counter path {path:?}"
         );
-        let mut map = self.lock();
-        let cell = map
-            .entry(path.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
+        let mut reg = self.lock();
+        let reg = &mut *reg;
+        let cell = match reg.paths.entry(path.to_string()) {
+            Entry::Occupied(e) => Arc::clone(e.get()),
+            Entry::Vacant(e) => {
+                reg.generation += 1;
+                Arc::clone(e.insert(Arc::new(AtomicU64::new(0))))
+            }
+        };
         Counter { cell }
     }
 
     /// The value at `path`, if registered.
     pub fn get(&self, path: &str) -> Option<u64> {
-        self.lock().get(path).map(|c| c.load(Ordering::Relaxed))
+        self.lock()
+            .paths
+            .get(path)
+            .map(|c| c.load(Ordering::Relaxed))
     }
 
     /// Number of registered counters.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().paths.len()
     }
 
     /// Whether no counter is registered.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().paths.is_empty()
     }
 
     /// Sum of every counter at or below `prefix` (`prefix` itself, or
     /// `prefix/...`).
     pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.lock()
-            .iter()
-            .filter(|(path, _)| under_prefix(path, prefix))
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+        self.lock().sum_group(prefix, None)
     }
 
     /// Sum of every counter below `prefix` whose last segment is
     /// `leaf` — e.g. `sum_leaf("faults", "drop")` totals
     /// `faults/<entity>/drop` across entities.
     pub fn sum_leaf(&self, prefix: &str, leaf: &str) -> u64 {
-        let suffix = format!("/{leaf}");
-        self.lock()
-            .iter()
-            .filter(|(path, _)| under_prefix(path, prefix) && path.ends_with(&suffix))
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+        self.lock().sum_group(prefix, Some(leaf))
     }
 
     /// Freezes the tree into a sorted snapshot.
@@ -158,11 +192,74 @@ impl CounterTree {
         CounterSnapshot {
             entries: self
                 .lock()
+                .paths
                 .iter()
                 .map(|(path, c)| (path.clone(), c.load(Ordering::Relaxed)))
                 .collect(),
         }
     }
+}
+
+impl Registry {
+    /// Sums the cached group for `(prefix, leaf)` (`leaf: None` is the
+    /// whole subtree), collecting it first if it is older than the
+    /// newest registration. A hit allocates nothing.
+    fn sum_group(&mut self, prefix: &str, leaf: Option<&str>) -> u64 {
+        let Registry {
+            paths,
+            generation,
+            groups,
+        } = self;
+        let by_prefix = get_or_default(groups, prefix);
+        let group = match leaf {
+            None => &mut by_prefix.whole,
+            Some(leaf) => get_or_default(&mut by_prefix.by_leaf, leaf),
+        };
+        group.sum(paths, *generation, prefix, leaf)
+    }
+}
+
+/// The value under `key`, inserted as the default on first use. Looks
+/// up by `&str`, so only a miss allocates the key.
+fn get_or_default<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
+impl Group {
+    fn sum(
+        &mut self,
+        paths: &BTreeMap<String, Arc<AtomicU64>>,
+        generation: u64,
+        prefix: &str,
+        leaf: Option<&str>,
+    ) -> u64 {
+        if self.generation != generation {
+            // Every path under `prefix` sorts in one run starting at
+            // `prefix` itself; the scan ends at the first path that no
+            // longer starts with it.
+            self.cells.clear();
+            self.cells.extend(
+                paths
+                    .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                    .take_while(|(path, _)| path.starts_with(prefix))
+                    .filter(|(path, _)| {
+                        under_prefix(path, prefix) && leaf.is_none_or(|l| ends_in_leaf(path, l))
+                    })
+                    .map(|(_, c)| Arc::clone(c)),
+            );
+            self.generation = generation;
+        }
+        self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+}
+
+/// Whether the last `/`-separated segment of `path` is `leaf`.
+fn ends_in_leaf(path: &str, leaf: &str) -> bool {
+    path.strip_suffix(leaf)
+        .is_some_and(|head| head.ends_with('/'))
 }
 
 fn under_prefix(path: &str, prefix: &str) -> bool {
@@ -321,6 +418,25 @@ mod tests {
         assert_eq!(tree.sum_leaf("faults", "drop"), 5);
         assert_eq!(tree.sum_leaf("faults", "pcie_timeout"), 9);
         assert_eq!(tree.sum_leaf("faults", "rnr"), 0);
+    }
+
+    #[test]
+    fn paths_registered_after_a_sum_join_its_group() {
+        let tree = CounterTree::new();
+        assert_eq!(tree.sum_prefix("port/0"), 0);
+        tree.counter("port/0/queue/0/tx/packets").add(3);
+        assert_eq!(tree.sum_leaf("port/0", "packets"), 3);
+        assert_eq!(tree.sum_prefix("port/0"), 3);
+        // A new leaf under an already-summed prefix, and a sibling whose
+        // name extends the prefix's last segment.
+        tree.counter("port/0/queue/1/tx/packets").add(4);
+        tree.counter("port/01/queue/0/tx/packets").add(100);
+        assert_eq!(tree.sum_leaf("port/0", "packets"), 7);
+        assert_eq!(tree.sum_prefix("port/0"), 7);
+        assert_eq!(tree.sum_prefix("port/01"), 100);
+        // Cached groups read live cells: increments show without a rebuild.
+        tree.counter("port/0/queue/0/tx/packets").inc();
+        assert_eq!(tree.sum_prefix("port/0"), 8);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the simulation engine: histogram accuracy
-//! against exact percentiles, link conservation laws, and calendar
-//! ordering.
+//! against exact percentiles, link conservation laws, calendar
+//! ordering, and counter-tree group sums against a plain snapshot scan.
 
 use proptest::prelude::*;
 
+use fld_sim::counters::CounterTree;
 use fld_sim::link::{Link, TokenBucket};
 use fld_sim::queue::{CalendarKind, EventQueue};
 use fld_sim::stats::Histogram;
@@ -88,7 +89,105 @@ fn run_calendar(kind: CalendarKind, ops: &[CalOp]) -> Vec<(u64, u32)> {
     trace
 }
 
+/// Counter paths for the group-cache exercise: nested groups, a sibling
+/// sharing a string prefix (`port/0` vs `port/01`), a path equal to a
+/// queried prefix, and one family leaf under several entities.
+const COUNTER_PATHS: [&str; 10] = [
+    "port/0/rx/packets",
+    "port/0/queue/1/tx/packets",
+    "port/0/queue/1/tx/drops",
+    "port/0/queue/7/tx/packets",
+    "port/01/queue/0/tx/packets",
+    "port/0",
+    "port/1/rx/packets",
+    "faults/fld/drop",
+    "faults/accel/drop",
+    "faults/fld/pcie_timeout",
+];
+const COUNTER_PREFIXES: [&str; 9] = [
+    "port",
+    "port/0",
+    "port/01",
+    "port/0/queue",
+    "port/0/queue/1",
+    "port/0/rx/packets",
+    "faults",
+    "por",
+    "zzz",
+];
+const COUNTER_LEAVES: [&str; 5] = ["packets", "drops", "drop", "pcie_timeout", "tx"];
+
+/// One step of the counter-tree exercise; indices select from the
+/// tables above.
+#[derive(Debug, Clone)]
+enum CtrOp {
+    /// Resolve (registering on first use) a path's handle.
+    Register(usize),
+    /// Add through a path's handle, resolving it first.
+    Add(usize, u64),
+    /// Compare `sum_prefix` against the snapshot scan.
+    SumPrefix(usize),
+    /// Compare `sum_leaf` against the snapshot scan.
+    SumLeaf(usize, usize),
+}
+
+fn ctr_op() -> impl Strategy<Value = CtrOp> {
+    prop_oneof![
+        (0..COUNTER_PATHS.len()).prop_map(CtrOp::Register),
+        (0..COUNTER_PATHS.len(), 1u64..1000).prop_map(|(p, n)| CtrOp::Add(p, n)),
+        (0..COUNTER_PREFIXES.len()).prop_map(CtrOp::SumPrefix),
+        (0..COUNTER_PREFIXES.len(), 0..COUNTER_LEAVES.len())
+            .prop_map(|(p, l)| CtrOp::SumLeaf(p, l)),
+    ]
+}
+
+/// The reference: a plain scan of a fresh snapshot.
+fn scan_sum(tree: &CounterTree, prefix: &str, leaf: Option<&str>) -> u64 {
+    let below = format!("{prefix}/");
+    tree.snapshot()
+        .entries()
+        .iter()
+        .filter(|(path, _)| *path == prefix || path.starts_with(&below))
+        .filter(|(path, _)| leaf.is_none_or(|l| path.ends_with(&format!("/{l}"))))
+        .map(|(_, v)| *v)
+        .sum()
+}
+
 proptest! {
+    /// Cached group sums equal a plain snapshot scan under arbitrary
+    /// interleavings of registration, increments and queries — including
+    /// paths registered under a prefix that was already summed.
+    #[test]
+    fn cached_counter_sums_match_snapshot_scan(
+        ops in proptest::collection::vec(ctr_op(), 1..120)
+    ) {
+        let tree = CounterTree::new();
+        for op in ops {
+            match op {
+                CtrOp::Register(p) => {
+                    tree.counter(COUNTER_PATHS[p]);
+                }
+                CtrOp::Add(p, n) => tree.counter(COUNTER_PATHS[p]).add(n),
+                CtrOp::SumPrefix(p) => {
+                    let prefix = COUNTER_PREFIXES[p];
+                    prop_assert_eq!(
+                        tree.sum_prefix(prefix),
+                        scan_sum(&tree, prefix, None),
+                        "sum_prefix({})", prefix
+                    );
+                }
+                CtrOp::SumLeaf(p, l) => {
+                    let (prefix, leaf) = (COUNTER_PREFIXES[p], COUNTER_LEAVES[l]);
+                    prop_assert_eq!(
+                        tree.sum_leaf(prefix, leaf),
+                        scan_sum(&tree, prefix, Some(leaf)),
+                        "sum_leaf({}, {})", prefix, leaf
+                    );
+                }
+            }
+        }
+    }
+
     /// Histogram percentiles stay within the configured relative error of
     /// exact order statistics.
     #[test]
