@@ -1,8 +1,8 @@
 //! Runs every experiment in DESIGN.md §4 order and prints the full report.
 //!
-//! With `--jobs N` the sections themselves run on worker threads (each
-//! section's internal sweep then runs serially within it); the report
-//! always prints in DESIGN.md order.
+//! The sections themselves run on one worker thread per core (each
+//! section's internal sweep fans out again); the report always prints in
+//! DESIGN.md order.
 use fld_bench::report::{Cli, Report};
 use fld_bench::runner;
 

@@ -18,8 +18,8 @@
 //! prints every kind), `--fault-seed` picks the injection RNG streams
 //! (the rack leg draws its link-flap schedule from it), `--strict-audit`
 //! additionally escalates every in-run invariant violation to a panic at
-//! the violating instant, and `--jobs` fans the sweep points out across
-//! workers (byte-identical to the serial run). With `--json <path>` the
+//! the violating instant. Sweep points run on one worker per core
+//! (byte-identical to the serial run). With `--json <path>` the
 //! report carries one metrics snapshot per (system, rate) — including
 //! the `faults.*` / `recovery.*` counters, the `recovery.time_ns`
 //! latency histogram and, for the rack leg, the `health.*` watchdog
@@ -27,8 +27,7 @@
 //! tree, where every injected fault appears under its
 //! `faults/<entity>/<kind>` path.
 use fld_bench::experiments::chaos;
-use fld_bench::perf::take_flag_value;
-use fld_bench::report::{Cli, Report};
+use fld_bench::report::{take_flag_value, Cli, Report};
 use fld_sim::fault::FaultPlan;
 
 fn main() {

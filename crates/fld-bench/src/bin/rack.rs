@@ -13,8 +13,7 @@
 //! rings dead — the acceptance gates, enforced at run time.
 
 use fld_bench::experiments::rack::{isolation, liveness_cfg, render_liveness, run_rack};
-use fld_bench::perf::take_flag_value;
-use fld_bench::report::{Cli, Report};
+use fld_bench::report::{take_flag_value, Cli, Report};
 use fld_core::rack::RackConfig;
 
 fn parsed_flag<T: std::str::FromStr>(argv: &mut Vec<String>, flag: &str, default: T) -> T {

@@ -7,7 +7,7 @@
 //! injected fault is accounted as recovered / dropped-and-counted /
 //! terminal, and every invariant audit — including the per-tick
 //! fault-accounting check — passes. Points are independent seeded runs,
-//! so the sweep parallelizes over `--jobs` without changing a byte.
+//! so the sweep parallelizes across cores without changing a byte.
 
 use fld_accel::echo::EchoAccelerator;
 use fld_core::rack::{RackConfig, RackStats, TrafficPattern};
@@ -158,7 +158,7 @@ pub fn run_point(scale: Scale, plan: FaultPlan) -> ChaosPoint {
 }
 
 /// Sweeps `rates` (ascending) with one plan per rate built by `plan_for`,
-/// fanning points out across the `--jobs` workers.
+/// fanning points out across one worker per core.
 pub fn sweep(
     scale: Scale,
     rates: &[f64],

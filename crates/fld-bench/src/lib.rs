@@ -12,7 +12,6 @@ pub mod counters;
 pub mod experiments;
 pub mod fmt;
 pub mod loc;
-pub mod perf;
 pub mod report;
 pub mod runner;
 

@@ -40,8 +40,6 @@ pub struct Cli {
     pub sample_interval_ns: u64,
     /// Escalate invariant violations to hard errors (`--strict-audit`).
     pub strict_audit: bool,
-    /// Worker threads for sweep points (`--jobs <n>`, default 1).
-    pub jobs: usize,
     /// Fault-injection probability per opportunity
     /// (`--fault-rate <p>`; `None` leaves an experiment's default sweep).
     pub fault_rate: Option<f64>,
@@ -58,10 +56,6 @@ pub struct Cli {
     /// (`--counters <path>`; an ethtool-style text rendering is written
     /// next to it with extension `.txt`).
     pub counters: Option<PathBuf>,
-    /// Event-calendar backend for every engine built by the experiment
-    /// (`--calendar {heap,wheel}`; default wheel). Parsing the flag arms
-    /// [`fld_sim::queue::set_default_kind`].
-    pub calendar: fld_sim::queue::CalendarKind,
 }
 
 /// Why argument parsing stopped: an explicit help request or a
@@ -82,7 +76,6 @@ use CliError::{Bad, Help, ListKinds};
 pub const USAGE: &str = "\
 Options shared by every experiment binary:
   --quick                   run at reduced scale
-  --jobs <n>                run sweep points on <n> worker threads
   --json <path>             write the structured report as JSON
   --trace <path>            write a Chrome trace-event JSON (telemetry runs)
   --timeline <path>         write the flight-recorder timeline (.csv => CSV)
@@ -96,7 +89,6 @@ Options shared by every experiment binary:
                             <path>.folded flamegraph stacks file)
   --counters <path>         write the per-entity hardware-counter dump as
                             JSON (plus a <path>.txt ethtool-style listing)
-  --calendar <backend>      event-calendar backend: wheel (default) or heap
   -h, --help                print this help";
 
 impl Default for Cli {
@@ -108,13 +100,11 @@ impl Default for Cli {
             timeline: None,
             sample_interval_ns: 1_000,
             strict_audit: false,
-            jobs: 1,
             fault_rate: None,
             fault_kinds: None,
             fault_seed: 1,
             prof: None,
             counters: None,
-            calendar: fld_sim::queue::CalendarKind::Wheel,
         }
     }
 }
@@ -125,7 +115,7 @@ impl Cli {
     /// With `--strict-audit` this also arms the process-wide strict-audit
     /// switch so every system built by the experiment — however deep
     /// inside library code — panics on the first invariant violation;
-    /// `--jobs` likewise arms [`crate::runner::set_jobs`].
+    /// `--prof` likewise arms `fld_sim::prof::set_enabled`.
     pub fn parse() -> Cli {
         Cli::parse_args(std::env::args().skip(1))
     }
@@ -155,11 +145,9 @@ impl Cli {
         if cli.strict_audit {
             fld_core::system::set_strict_audit(true);
         }
-        crate::runner::set_jobs(cli.jobs);
         if cli.prof.is_some() {
             fld_sim::prof::set_enabled(true);
         }
-        fld_sim::queue::set_default_kind(cli.calendar);
         cli
     }
 
@@ -197,13 +185,6 @@ impl Cli {
                                 "--sample-interval-ns requires a positive integer".into()
                             ))
                         }
-                    }
-                }
-                "--jobs" => {
-                    let val: Option<usize> = args.next().and_then(|v| v.parse().ok());
-                    match val {
-                        Some(n) if n > 0 => cli.jobs = n,
-                        _ => return Err(Bad("--jobs requires a positive integer".into())),
                     }
                 }
                 "--strict-audit" => cli.strict_audit = true,
@@ -248,15 +229,6 @@ impl Cli {
                     cli.counters = args.next().map(PathBuf::from);
                     if cli.counters.is_none() {
                         return Err(Bad("--counters requires a path".into()));
-                    }
-                }
-                "--calendar" => {
-                    let val = args
-                        .next()
-                        .and_then(|v| fld_sim::queue::CalendarKind::parse(&v));
-                    match val {
-                        Some(kind) => cli.calendar = kind,
-                        _ => return Err(Bad("--calendar requires \"heap\" or \"wheel\"".into())),
                     }
                 }
                 other => return Err(Bad(format!("unknown argument {other:?}"))),
@@ -305,6 +277,21 @@ impl Cli {
             None => plan,
         }
     }
+}
+
+/// Removes `flag <value>` from `args`, returning the value. Binaries
+/// extract their own flags this way before handing the rest to
+/// [`Cli::parse_args`], which keeps the shared parser's unknown-flag
+/// hard error intact for everything else. A flag without a value exits
+/// with status 2.
+pub fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        eprintln!("error: {flag} requires a value");
+        std::process::exit(2);
+    }
+    args.remove(i);
+    Some(args.remove(i))
 }
 
 /// An experiment report: the rendered text sections plus named metric
@@ -545,7 +532,6 @@ mod tests {
         assert_eq!(cli.scale().packets, Scale::quick().packets);
         assert_eq!(cli.sample_interval_ns, 1_000);
         assert!(!cli.strict_audit);
-        assert_eq!(cli.jobs, 1);
         assert!(cli.wants_telemetry());
     }
 
@@ -573,15 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_jobs() {
-        let cli = Cli::from_args(args(&["--jobs", "4"])).unwrap();
-        assert_eq!(cli.jobs, 4);
-        assert!(Cli::from_args(args(&["--jobs"])).is_err());
-        assert!(Cli::from_args(args(&["--jobs", "0"])).is_err());
-        assert!(Cli::from_args(args(&["--jobs", "many"])).is_err());
-    }
-
-    #[test]
     fn rejects_unknown_flags_and_answers_help() {
         assert!(matches!(
             Cli::from_args(args(&["--jbos", "4"])),
@@ -590,7 +567,30 @@ mod tests {
         assert!(Cli::from_args(args(&["--quick", "extra"])).is_err());
         assert!(matches!(Cli::from_args(args(&["--help"])), Err(Help)));
         assert!(matches!(Cli::from_args(args(&["-h"])), Err(Help)));
-        assert!(USAGE.contains("--jobs"));
+        assert!(USAGE.contains("--quick"));
+    }
+
+    #[test]
+    fn removed_flags_are_unknown() {
+        // The calendar backend and the sweep worker count are no longer
+        // settings: both flags hit the unknown-argument error, which
+        // `Cli::parse_args` turns into exit status 2.
+        for argv in [["--calendar", "wheel"], ["--jobs", "4"]] {
+            assert!(matches!(
+                Cli::from_args(args(&argv)),
+                Err(Bad(m)) if m == format!("unknown argument {:?}", argv[0])
+            ));
+            assert!(!USAGE.contains(argv[0]));
+        }
+    }
+
+    #[test]
+    fn takes_bin_specific_flags_out_of_argv() {
+        let mut argv: Vec<String> = args(&["--quick", "--nodes", "8", "--strict-audit"]).collect();
+        assert_eq!(take_flag_value(&mut argv, "--nodes").as_deref(), Some("8"));
+        assert_eq!(argv, ["--quick", "--strict-audit"]);
+        assert_eq!(take_flag_value(&mut argv, "--nodes"), None);
+        assert_eq!(argv.len(), 2);
     }
 
     #[test]
@@ -688,26 +688,6 @@ mod tests {
             Err(Bad(m)) if m.contains("--counters")
         ));
         assert!(USAGE.contains("--counters"));
-    }
-
-    #[test]
-    fn parses_calendar_flag() {
-        use fld_sim::queue::CalendarKind;
-        let cli = Cli::from_args(args(&["--calendar", "heap"])).unwrap();
-        assert_eq!(cli.calendar, CalendarKind::Heap);
-        let cli = Cli::from_args(args(&["--calendar", "wheel"])).unwrap();
-        assert_eq!(cli.calendar, CalendarKind::Wheel);
-        // The wheel is the default backend when the flag is absent.
-        assert_eq!(
-            Cli::from_args(args(&[])).unwrap().calendar,
-            CalendarKind::Wheel
-        );
-        assert!(matches!(
-            Cli::from_args(args(&["--calendar", "btree"])),
-            Err(Bad(m)) if m.contains("--calendar")
-        ));
-        assert!(Cli::from_args(args(&["--calendar"])).is_err());
-        assert!(USAGE.contains("--calendar"));
     }
 
     #[test]

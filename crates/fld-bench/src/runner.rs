@@ -8,29 +8,16 @@
 //! output depends only on its own point, never on which thread or in
 //! which order it executed.
 //!
-//! The worker count comes from the process-wide [`set_jobs`] switch
-//! (armed by the shared `--jobs N` flag in [`crate::report::Cli::parse`]),
-//! so library-level experiment entry points pick up the flag without
-//! threading a parameter through every signature — the same pattern as
-//! `fld_core::system::set_strict_audit`.
+//! The worker count is a fact about the host, not a setting:
+//! [`run_points`] uses one worker per available core. Because the output
+//! never depends on it, there is nothing to configure; the determinism
+//! tests pin explicit counts through [`run_points_with`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker threads used by [`run_points`] (0 = unset, treated as 1).
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide worker count for [`run_points`].
-pub fn set_jobs(jobs: usize) {
-    JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide worker count ([`set_jobs`], default 1).
-pub fn jobs() -> usize {
-    JOBS.load(Ordering::Relaxed).max(1)
-}
-
-/// Runs `f` over every point with the process-wide worker count,
+/// Runs `f` over every point with one worker per available core
+/// (`std::thread::available_parallelism`, 1 when undetectable),
 /// returning results in input order. See [`run_points_with`].
 pub fn run_points<T, R, F>(points: Vec<T>, f: F) -> Vec<R>
 where
@@ -38,7 +25,8 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    run_points_with(points, jobs(), f)
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_points_with(points, workers, f)
 }
 
 /// Runs `f` over every point on up to `jobs` worker threads, returning
@@ -104,14 +92,5 @@ mod tests {
         let empty: Vec<u32> = run_points_with(Vec::new(), 4, |p: u32| p);
         assert!(empty.is_empty());
         assert_eq!(run_points_with(vec![9], 4, |p| p * 2), vec![18]);
-    }
-
-    #[test]
-    fn jobs_switch_round_trips() {
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0); // clamped
-        assert_eq!(jobs(), 1);
-        set_jobs(1);
     }
 }

@@ -328,9 +328,9 @@ impl Drop for ScopeGuard {
 
 /// Behavioral statistics of the event calendar over one run, collected
 /// by [`crate::queue::EventQueue`] (under the `prof` feature) and the
-/// engine. These are the numbers the BinaryHeap-vs-timing-wheel decision
-/// needs: depth bounds sift cost, same-timestamp bursts measure how much
-/// ordering work a wheel bucket would absorb, and re-arm churn counts
+/// engine. These are the numbers that size the timing wheel: depth
+/// bounds drain and cascade work, same-timestamp bursts measure how much
+/// ordering work a wheel bucket absorbs, and re-arm churn counts
 /// self-rescheduling timers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CalendarStats {

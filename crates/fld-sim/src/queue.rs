@@ -1,26 +1,17 @@
-//! The event calendar: a time-ordered priority queue with two
-//! interchangeable backends behind one API.
+//! The event calendar: a time-ordered priority queue backed by a
+//! hierarchical timing wheel ([`wheel::TimingWheel`]).
 //!
-//! Both backends pop in exactly `(time, insertion-seq)` order, so a
-//! simulation run is bit-identical regardless of which one is active:
-//!
-//! - [`CalendarKind::Wheel`] (the default): a hierarchical timing wheel
-//!   ([`wheel::TimingWheel`]) with O(1) pushes and batched slot drains —
-//!   coincident-timestamp events are sorted once per slot, not sifted
-//!   one comparison at a time through a half-megabyte heap.
-//! - [`CalendarKind::Heap`]: the reference `BinaryHeap` implementation,
-//!   kept as the differential-testing oracle and for `--calendar heap`
-//!   A/B runs.
+//! The wheel pops in exactly `(time, insertion-seq)` order with O(1)
+//! pushes and batched slot drains — coincident-timestamp events are
+//! sorted once per slot, not sifted one comparison at a time through a
+//! half-megabyte heap. A test-local binary-heap model in
+//! `tests/proptests.rs` (`wheel_matches_heap`) is the ordering oracle.
 //!
 //! Event payloads do not live inside the ordering structure. They sit in
-//! a slab (`Vec<Option<E>>` plus a free list) and the backends order
-//! 24-byte [`Slot`] keys — `{time, seq, slab index}` — so pushes and
-//! cascades move three words, not a 100+-byte `EngineEv`, and the hot
+//! a slab (`Vec<Option<E>>` plus a free list) and the wheel orders
+//! 16-byte [`Slot`] keys — `{time, seq, slab index}` — so pushes and
+//! cascades move two words, not a 100+-byte `EngineEv`, and the hot
 //! loop allocates nothing once the slab and wheel have warmed up.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -28,61 +19,7 @@ pub mod wheel;
 
 use wheel::TimingWheel;
 
-/// Which calendar backend an [`EventQueue`] orders its events with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarKind {
-    /// Reference `BinaryHeap`: O(log n) push/pop, one comparison-driven
-    /// sift per operation.
-    Heap,
-    /// Hierarchical timing wheel: O(1) push, coincident pops drained a
-    /// sorted slot at a time. The default.
-    #[default]
-    Wheel,
-}
-
-impl CalendarKind {
-    /// Parses a `--calendar` flag value.
-    pub fn parse(s: &str) -> Option<CalendarKind> {
-        match s {
-            "heap" => Some(CalendarKind::Heap),
-            "wheel" => Some(CalendarKind::Wheel),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`"heap"` / `"wheel"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CalendarKind::Heap => "heap",
-            CalendarKind::Wheel => "wheel",
-        }
-    }
-}
-
-/// Process-wide default backend for [`EventQueue::new`], so a
-/// `--calendar` flag reaches every engine a run constructs without
-/// threading a parameter through each system's constructor (the same
-/// pattern as `prof::set_enabled`).
-static DEFAULT_KIND: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the backend every subsequently constructed [`EventQueue`] uses.
-pub fn set_default_kind(kind: CalendarKind) {
-    let v = match kind {
-        CalendarKind::Heap => 0,
-        CalendarKind::Wheel => 1,
-    };
-    DEFAULT_KIND.store(v, AtomicOrdering::Relaxed);
-}
-
-/// The backend [`EventQueue::new`] currently constructs.
-pub fn default_kind() -> CalendarKind {
-    match DEFAULT_KIND.load(AtomicOrdering::Relaxed) {
-        0 => CalendarKind::Heap,
-        _ => CalendarKind::Wheel,
-    }
-}
-
-/// The ordering key both backends move around: an event's timestamp in
+/// The ordering key the wheel moves around: an event's timestamp in
 /// picoseconds, its insertion sequence number (the deterministic
 /// tie-break), and the slab index of its payload. 16 bytes — four keys
 /// per cache line where the old inline entries spanned two lines each.
@@ -97,57 +34,10 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    /// The total order both backends agree on.
+    /// The total order pops follow.
     #[inline]
     pub(crate) fn key(&self) -> (u64, u32) {
         (self.time_ps, self.seq)
-    }
-}
-
-/// Min-heap adapter: `BinaryHeap` is a max-heap, so reverse the key.
-#[derive(Debug, PartialEq, Eq)]
-struct MinSlot(Slot);
-
-impl PartialOrd for MinSlot {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MinSlot {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
-
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<MinSlot>),
-    Wheel(TimingWheel),
-}
-
-impl Backend {
-    fn push(&mut self, slot: Slot) {
-        match self {
-            Backend::Heap(h) => h.push(MinSlot(slot)),
-            Backend::Wheel(w) => w.push(slot),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<u64> {
-        match self {
-            Backend::Heap(h) => h.peek().map(|m| m.0.time_ps),
-            Backend::Wheel(w) => w.peek_time(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Backend::Heap(h) => h.clear(),
-            Backend::Wheel(w) => w.clear(),
-        }
     }
 }
 
@@ -208,7 +98,7 @@ fn prefetch_at<T>(p: *const T) {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend,
+    wheel: TimingWheel,
     /// Payload slab; `Slot::idx` points here. `None` marks a free slot
     /// (its index is on the `free` list).
     events: Vec<Option<E>>,
@@ -255,20 +145,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar at time zero, using the process-wide
-    /// [`default_kind`] backend.
+    /// Creates an empty calendar at time zero.
     pub fn new() -> Self {
-        Self::with_kind(default_kind())
-    }
-
-    /// Creates an empty calendar at time zero on an explicit backend.
-    pub fn with_kind(kind: CalendarKind) -> Self {
-        let backend = match kind {
-            CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
-            CalendarKind::Wheel => Backend::Wheel(TimingWheel::new()),
-        };
         EventQueue {
-            backend,
+            wheel: TimingWheel::new(),
             events: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
@@ -276,14 +156,6 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             #[cfg(feature = "prof")]
             prof: ProfCounters::default(),
-        }
-    }
-
-    /// The backend this calendar orders events with.
-    pub fn kind(&self) -> CalendarKind {
-        match self.backend {
-            Backend::Heap(_) => CalendarKind::Heap,
-            Backend::Wheel(_) => CalendarKind::Wheel,
         }
     }
 
@@ -311,7 +183,7 @@ impl<E> EventQueue<E> {
     ///
     /// `at` is clamped to the current time: an instant already in the
     /// past (a model bug — this panics in debug builds) delivers at
-    /// `now` rather than corrupting the backend's ordering invariants.
+    /// `now` rather than corrupting the wheel's ordering invariants.
     ///
     /// # Panics
     ///
@@ -336,7 +208,7 @@ impl<E> EventQueue<E> {
                 (self.events.len() - 1) as u32
             }
         };
-        self.backend.push(Slot {
+        self.wheel.push(Slot {
             time_ps: at.as_picos(),
             seq,
             idx,
@@ -366,27 +238,13 @@ impl<E> EventQueue<E> {
         // are cold. The wheel hands out prefetch hints a 32-entry chunk
         // at a time from its sorted drain buffer — issuing the whole
         // chunk overlaps the DRAM misses instead of stalling at the top
-        // of every loop iteration (the heap only ever knows its root).
-        let slot = match &mut self.backend {
-            Backend::Wheel(w) => {
-                let slot = w.pop()?;
-                for s in w.prefetch_hints() {
-                    if let Some(e) = self.events.get(s.idx as usize) {
-                        prefetch(e);
-                    }
-                }
-                slot
+        // of every loop iteration.
+        let slot = self.wheel.pop()?;
+        for s in self.wheel.prefetch_hints() {
+            if let Some(e) = self.events.get(s.idx as usize) {
+                prefetch(e);
             }
-            Backend::Heap(h) => {
-                let slot = h.pop()?.0;
-                if let Some(m) = h.peek() {
-                    if let Some(e) = self.events.get(m.0.idx as usize) {
-                        prefetch(e);
-                    }
-                }
-                slot
-            }
-        };
+        }
         let event = self.events[slot.idx as usize]
             .take()
             .expect("popped key has a live slab entry");
@@ -440,7 +298,7 @@ impl<E> EventQueue<E> {
     /// cursor to the next occupied slot (a cascade), which never changes
     /// what pops next, only where it is stored.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.backend.peek_time().map(SimTime::from_picos)
+        self.wheel.peek_time().map(SimTime::from_picos)
     }
 
     /// Drops all pending events (the clock is unchanged).
@@ -450,7 +308,7 @@ impl<E> EventQueue<E> {
     /// timestamp matches the last pre-clear pop. Cumulative totals
     /// (`pops`, `peak_depth`, `max_burst`, `scheduled_total`) survive.
     pub fn clear(&mut self) {
-        self.backend.clear();
+        self.wheel.clear();
         self.events.clear();
         self.free.clear();
         #[cfg(feature = "prof")]
@@ -465,56 +323,45 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Every ordering test runs against both backends: they must be
-    /// indistinguishable through the public API.
-    fn both(test: impl Fn(EventQueue<i32>)) {
-        test(EventQueue::with_kind(CalendarKind::Heap));
-        test(EventQueue::with_kind(CalendarKind::Wheel));
-    }
-
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(30), 3);
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_nanos(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(30), 3);
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        both(|mut q| {
-            let t = SimTime::from_nanos(5);
-            for i in 0..100 {
-                q.schedule_at(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        for i in 0..100 {
+            q.schedule_at(t, i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_on_pop() {
-        both(|mut q| {
-            q.schedule_in(SimDuration::from_nanos(7), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_nanos(7));
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_in(SimDuration::from_nanos(7), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_nanos(7));
     }
 
     #[test]
     fn schedule_now_runs_at_current_time() {
-        both(|mut q| {
-            q.schedule_in(SimDuration::from_nanos(5), 1);
-            q.pop();
-            q.schedule_now(2);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!(t, SimTime::from_nanos(5));
-            assert_eq!(e, 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_in(SimDuration::from_nanos(5), 1);
+        q.pop();
+        q.schedule_now(2);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!(t, SimTime::from_nanos(5));
+        assert_eq!(e, 2);
     }
 
     #[test]
@@ -522,37 +369,35 @@ mod tests {
         // Events scheduled while draining a coincident burst (the
         // engine's normal mode: every dispatch schedules successors)
         // must slot into the global order, not the end of the slot.
-        both(|mut q| {
-            let t = SimTime::from_nanos(100);
-            q.schedule_at(t, 0);
-            q.schedule_at(t, 1);
-            q.schedule_at(t + SimDuration::from_picos(1), 3);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(0));
-            // Same timestamp as the in-flight burst: runs after "1"
-            // (insertion order) but before the later-time "3".
-            q.schedule_now(2);
-            q.schedule_in(SimDuration::from_nanos(50), 4);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3, 4]);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_nanos(100);
+        q.schedule_at(t, 0);
+        q.schedule_at(t, 1);
+        q.schedule_at(t + SimDuration::from_picos(1), 3);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(0));
+        // Same timestamp as the in-flight burst: runs after "1"
+        // (insertion order) but before the later-time "3".
+        q.schedule_now(2);
+        q.schedule_in(SimDuration::from_nanos(50), 4);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn peek_does_not_disturb_order() {
-        both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_millis(80), 2); // beyond wheel span: overflow
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(80)));
-            // Scheduling earlier than the peeked (cascaded) slot still
-            // pops first: the peek must not commit the wheel to it.
-            q.schedule_in(SimDuration::from_nanos(5), 3);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(15)));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(3));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_millis(80), 2); // a level-2 slot
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(80)));
+        // Scheduling earlier than the peeked (cascaded) slot still
+        // pops first: the peek must not commit the wheel to it.
+        q.schedule_in(SimDuration::from_nanos(5), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(15)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -563,41 +408,39 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         #[cfg(feature = "prof")]
         crate::prof::set_enabled(true);
-        both(|mut q| {
-            q.schedule_at(SimTime::from_nanos(10), 0);
-            q.schedule_at(SimTime::from_nanos(10), 1);
-            q.schedule_at(SimTime::from_nanos(10), 2);
-            q.schedule_at(SimTime::from_nanos(20), 3);
-            while q.pop().is_some() {}
-            let stats = q.calendar_stats();
-            assert_eq!(stats.pushes, 4);
-            assert_eq!(stats.sample_rearms, 0);
-            #[cfg(feature = "prof")]
-            {
-                assert_eq!(stats.pops, 4);
-                assert_eq!(stats.peak_depth, 4);
-                // The three t=10 pops form one burst: two beyond its first.
-                assert_eq!(stats.coincident_pops, 2);
-                assert_eq!(stats.max_burst, 3);
-            }
-            #[cfg(not(feature = "prof"))]
-            assert_eq!(stats.pops, 0);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), 0);
+        q.schedule_at(SimTime::from_nanos(10), 1);
+        q.schedule_at(SimTime::from_nanos(10), 2);
+        q.schedule_at(SimTime::from_nanos(20), 3);
+        while q.pop().is_some() {}
+        let stats = q.calendar_stats();
+        assert_eq!(stats.pushes, 4);
+        assert_eq!(stats.sample_rearms, 0);
+        #[cfg(feature = "prof")]
+        {
+            assert_eq!(stats.pops, 4);
+            assert_eq!(stats.peak_depth, 4);
+            // The three t=10 pops form one burst: two beyond its first.
+            assert_eq!(stats.coincident_pops, 2);
+            assert_eq!(stats.max_burst, 3);
+        }
+        #[cfg(not(feature = "prof"))]
+        assert_eq!(stats.pops, 0);
         #[cfg(feature = "prof")]
         crate::prof::set_enabled(false);
     }
 
     #[test]
     fn len_and_clear() {
-        both(|mut q| {
-            q.schedule_now(1);
-            q.schedule_now(2);
-            assert_eq!(q.len(), 2);
-            assert!(!q.is_empty());
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_now(1);
+        q.schedule_now(2);
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[cfg(feature = "prof")]
@@ -610,41 +453,39 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         crate::prof::set_enabled(true);
-        both(|mut q| {
-            let t = SimTime::from_nanos(10);
-            q.schedule_at(t, 0);
-            q.schedule_at(t, 1);
-            while q.pop().is_some() {}
-            assert_eq!(q.calendar_stats().coincident_pops, 1);
-            q.clear();
-            q.schedule_at(t, 2);
-            q.pop();
-            let stats = q.calendar_stats();
-            assert_eq!(
-                stats.coincident_pops, 1,
-                "pop after clear must start a fresh burst"
-            );
-            assert_eq!(stats.max_burst, 2);
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_nanos(10);
+        q.schedule_at(t, 0);
+        q.schedule_at(t, 1);
+        while q.pop().is_some() {}
+        assert_eq!(q.calendar_stats().coincident_pops, 1);
+        q.clear();
+        q.schedule_at(t, 2);
+        q.pop();
+        let stats = q.calendar_stats();
+        assert_eq!(
+            stats.coincident_pops, 1,
+            "pop after clear must start a fresh burst"
+        );
+        assert_eq!(stats.max_burst, 2);
         crate::prof::set_enabled(false);
     }
 
     #[test]
     fn queue_reusable_after_clear() {
-        both(|mut q| {
-            q.schedule_in(SimDuration::from_nanos(10), 1);
-            q.schedule_in(SimDuration::from_millis(90), 2); // overflow range
-            q.clear();
-            assert_eq!(q.pop(), None);
-            q.schedule_in(SimDuration::from_nanos(3), 7);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(7));
-        });
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.schedule_in(SimDuration::from_nanos(10), 1);
+        q.schedule_in(SimDuration::from_secs(2), 2); // past the wheel: overflow
+        q.clear();
+        assert_eq!(q.pop(), None);
+        q.schedule_in(SimDuration::from_nanos(3), 7);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(7));
     }
 
     #[test]
     fn ordering_keys_stay_cache_line_friendly() {
-        // Two slab keys and change per 64-byte line; the payload stays
-        // out of the ordering structure entirely.
-        assert!(std::mem::size_of::<Slot>() <= 24);
+        // Four slab keys per 64-byte line; the payload stays out of the
+        // ordering structure entirely.
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
 }

@@ -5,16 +5,17 @@
 //!
 //! Level-0 slots are `2^G0` = 32768 ps (~32.8 ns) wide — a couple of
 //! events per slot at 25 GbE line rate with 64 B frames (~20 ns event
-//! spacing). The width is an empirical balance (swept on `bench_engine`):
-//! finer slots push more events up the levels and through the cascade's
-//! scattered re-placement; coarser slots fatten each slot's sort. Each
+//! spacing). The width is an empirical balance (swept on the engine's
+//! events/s): finer slots push more events up the levels and through
+//! the cascade's scattered re-placement; coarser slots fatten each
+//! slot's sort. Each
 //! of the three levels has 256 slots, so the wheel directly spans
 //! `2^(15+3·8)` ps ≈ 550 ms — comfortably past the millisecond-scale
 //! timeouts the systems schedule. Anything farther sits in a `(time,
-//! seq)` min-heap overflow and migrates into the wheel en masse when
+//! seq)`-ordered overflow map and migrates into the wheel en masse when
 //! the clock reaches its 550 ms epoch; the observed depth distribution
-//! (`BENCH_engine.json`: peak 465k pending, ~all within microseconds of
-//! now) makes that heap nearly empty in practice.
+//! (the fig7b FLD-E echo sweep: peak 465k pending, ~all within
+//! microseconds of now) makes that map nearly empty in practice.
 //!
 //! # Aligned windows
 //!
@@ -28,17 +29,17 @@
 //!
 //! # Determinism
 //!
-//! The pop order is exactly `(time, seq)`, bit-identical to the
-//! reference heap (the differential proptest in `proptests.rs` holds
-//! the two backends against each other): a drained slot is sorted by
-//! `(time, seq)` before its events are handed out, and events that land
+//! The pop order is exactly `(time, seq)`, bit-identical to a plain
+//! binary heap (the differential proptest `wheel_matches_heap` in
+//! `proptests.rs` holds the wheel against one): a drained slot is sorted
+//! by `(time, seq)` before its events are handed out, and events that land
 //! at or before the cursor — schedule-during-pop, the engine's normal
 //! mode — are merge-inserted into the already-sorted drain buffer at
 //! their `(time, seq)` position.
 
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
-use super::{MinSlot, Slot};
+use super::Slot;
 
 /// log2 of slots per level.
 const SLOT_BITS: u32 = 8;
@@ -56,14 +57,14 @@ const MASK: u64 = (SLOTS - 1) as u64;
 /// least this many events (or the level-0 window runs out), amortizing
 /// the scan/call overhead over a batch instead of paying it per bucket.
 /// The batch size is the pop-phase vs dispatch-phase tradeoff knob:
-/// larger batches mean fewer refills per pop (the `bench_engine` pop
-/// fraction drops roughly monotonically with it) but advance the cursor
+/// larger batches mean fewer refills per pop (the profiled pop fraction
+/// drops roughly monotonically with it) but advance the cursor
 /// further ahead of the clock, so more schedule-during-pop arrivals
 /// land at-or-before the cursor and pay a merge into the drain buffer
 /// on the push side. The gap-buffer merge in [`TimingWheel::place`] is
-/// what makes a batch this large affordable; 320 was swept on
-/// `bench_engine` as the corner where the pop fraction clears its
-/// budget without giving back the events/s win.
+/// what makes a batch this large affordable; 320 was swept on the
+/// engine's events/s as the corner where the pop fraction clears its
+/// budget without giving back the throughput win.
 const DRAIN_BATCH: usize = 320;
 
 /// One wheel level: 256 buckets plus an occupancy bitmap so the refill
@@ -120,8 +121,8 @@ impl Level {
 #[derive(Debug)]
 pub(crate) struct TimingWheel {
     levels: Vec<Level>,
-    /// Events beyond the wheel's span, min-ordered by `(time, seq)`.
-    overflow: BinaryHeap<MinSlot>,
+    /// Events beyond the wheel's span: slab index keyed by `(time, seq)`.
+    overflow: BTreeMap<(u64, u32), u32>,
     /// The active bucket's events, sorted by `(time, seq)`; `buf_pos`
     /// is the drain cursor. Late arrivals at or before the cursor's
     /// bucket merge-insert here.
@@ -141,7 +142,7 @@ impl TimingWheel {
     pub(crate) fn new() -> TimingWheel {
         TimingWheel {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: BinaryHeap::new(),
+            overflow: BTreeMap::new(),
             buffer: Vec::new(),
             buf_pos: 0,
             hint_pos: 0,
@@ -196,7 +197,7 @@ impl TimingWheel {
         } else if d >> (3 * SLOT_BITS) == 0 {
             self.levels[2].push(((i0 >> (2 * SLOT_BITS)) & MASK) as usize, slot);
         } else {
-            self.overflow.push(MinSlot(slot));
+            self.overflow.insert(slot.key(), slot.idx);
         }
     }
 
@@ -357,18 +358,18 @@ impl TimingWheel {
                 continue;
             }
             // Wheel empty: migrate the earliest overflow epoch.
-            let Some(min) = self.overflow.peek() else {
+            let Some((&(min_ps, _), _)) = self.overflow.first_key_value() else {
                 debug_assert_eq!(self.len, 0);
                 return false;
             };
-            self.cur0 = min.0.time_ps >> G0;
+            self.cur0 = min_ps >> G0;
             let epoch = self.cur0 >> (LEVELS as u32 * SLOT_BITS);
-            while let Some(m) = self.overflow.peek() {
-                if (m.0.time_ps >> G0) >> (LEVELS as u32 * SLOT_BITS) != epoch {
+            while let Some((&(time_ps, seq), &idx)) = self.overflow.first_key_value() {
+                if (time_ps >> G0) >> (LEVELS as u32 * SLOT_BITS) != epoch {
                     break;
                 }
-                let slot = self.overflow.pop().expect("peeked").0;
-                self.place(slot);
+                self.overflow.pop_first();
+                self.place(Slot { time_ps, seq, idx });
             }
             // The epoch minimum landed at the cursor, i.e. the buffer.
             debug_assert!(!self.buffer.is_empty());

@@ -2,16 +2,20 @@
 //! against exact percentiles, link conservation laws, calendar
 //! ordering, and counter-tree group sums against a plain snapshot scan.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
 use fld_sim::counters::CounterTree;
 use fld_sim::link::{Link, TokenBucket};
-use fld_sim::queue::{CalendarKind, EventQueue};
+use fld_sim::queue::EventQueue;
 use fld_sim::stats::Histogram;
 use fld_sim::time::{Bandwidth, SimDuration, SimTime};
 
 /// One step of the differential calendar exercise. Delays are relative to
-/// the queue's notion of "now" so both backends see identical inputs.
+/// each calendar's own notion of "now", so the wheel and the reference
+/// model see identical inputs.
 #[derive(Debug, Clone)]
 enum CalOp {
     /// Schedule a single event `delay_ps` past the current time.
@@ -22,7 +26,7 @@ enum CalOp {
     /// Pop up to `n` events, rescheduling every other popped event a
     /// little into the future (the engine's schedule-during-pop pattern).
     PopReschedule { n: u8 },
-    /// Schedule past the wheel's 2^39 ps span so the overflow heap and
+    /// Schedule past the wheel's 2^39 ps span so the overflow map and
     /// its epoch migration path are exercised.
     Far { delay_ps: u64 },
 }
@@ -42,19 +46,61 @@ fn cal_op() -> impl Strategy<Value = CalOp> {
     ]
 }
 
-/// Replays `ops` against one backend, returning the full popped trace.
-fn run_calendar(kind: CalendarKind, ops: &[CalOp]) -> Vec<(u64, u32)> {
-    let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
+/// The calendar surface the differential exercise drives: absolute
+/// picosecond instants, `u32` ids handed out in insertion order.
+trait Calendar {
+    fn now_ps(&self) -> u64;
+    fn schedule_at(&mut self, at_ps: u64, id: u32);
+    fn pop(&mut self) -> Option<(u64, u32)>;
+}
+
+impl Calendar for EventQueue<u32> {
+    fn now_ps(&self) -> u64 {
+        self.now().as_picos()
+    }
+    fn schedule_at(&mut self, at_ps: u64, id: u32) {
+        EventQueue::schedule_at(self, SimTime::from_picos(at_ps), id);
+    }
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        EventQueue::pop(self).map(|(t, id)| (t.as_picos(), id))
+    }
+}
+
+/// Reference calendar: a min-heap on `(time_ps, id)` with its own clock.
+/// Ids grow in insertion order, so `id` is the insertion-sequence
+/// tie-break, and a past instant clamps to `now` like the real queue.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    now_ps: u64,
+}
+
+impl Calendar for HeapModel {
+    fn now_ps(&self) -> u64 {
+        self.now_ps
+    }
+    fn schedule_at(&mut self, at_ps: u64, id: u32) {
+        self.heap.push(Reverse((at_ps.max(self.now_ps), id)));
+    }
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let Reverse((t, id)) = self.heap.pop()?;
+        self.now_ps = t;
+        Some((t, id))
+    }
+}
+
+/// Replays `ops` against one calendar, returning the full popped trace.
+fn run_calendar(mut q: impl Calendar, ops: &[CalOp]) -> Vec<(u64, u32)> {
     let mut next_id = 0u32;
     let mut trace = Vec::new();
     for op in ops {
         match *op {
-            CalOp::Schedule { delay_ps } => {
-                q.schedule_in(SimDuration::from_picos(delay_ps), next_id);
+            CalOp::Schedule { delay_ps } | CalOp::Far { delay_ps } => {
+                q.schedule_at(q.now_ps() + delay_ps, next_id);
                 next_id += 1;
             }
             CalOp::Burst { delay_ps, n } => {
-                let at = q.now() + SimDuration::from_picos(delay_ps);
+                let at = q.now_ps() + delay_ps;
                 for _ in 0..n {
                     q.schedule_at(at, next_id);
                     next_id += 1;
@@ -62,29 +108,18 @@ fn run_calendar(kind: CalendarKind, ops: &[CalOp]) -> Vec<(u64, u32)> {
             }
             CalOp::PopReschedule { n } => {
                 for i in 0..n {
-                    match q.pop() {
-                        Some((t, id)) => {
-                            trace.push((t.as_picos(), id));
-                            if i % 2 == 1 {
-                                q.schedule_in(
-                                    SimDuration::from_picos(517 * (i as u64 + 1)),
-                                    next_id,
-                                );
-                                next_id += 1;
-                            }
-                        }
-                        None => break,
+                    let Some(popped) = q.pop() else { break };
+                    trace.push(popped);
+                    if i % 2 == 1 {
+                        q.schedule_at(q.now_ps() + 517 * (i as u64 + 1), next_id);
+                        next_id += 1;
                     }
                 }
             }
-            CalOp::Far { delay_ps } => {
-                q.schedule_in(SimDuration::from_picos(delay_ps), next_id);
-                next_id += 1;
-            }
         }
     }
-    while let Some((t, id)) = q.pop() {
-        trace.push((t.as_picos(), id));
+    while let Some(popped) = q.pop() {
+        trace.push(popped);
     }
     trace
 }
@@ -277,15 +312,14 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// The timing wheel is observationally identical to the binary heap:
-    /// identical op sequences — same-tick bursts, schedule-during-pop,
-    /// far-future overflow — produce byte-identical pop traces. This is
-    /// the property that lets the wheel replace the heap without
-    /// re-blessing a single golden.
+    /// The timing wheel is observationally identical to a plain binary
+    /// heap: identical op sequences — same-tick bursts, schedule-during-
+    /// pop, far-future overflow — produce byte-identical pop traces. The
+    /// simulated results depend on nothing else about the calendar.
     #[test]
     fn wheel_matches_heap(ops in proptest::collection::vec(cal_op(), 1..120)) {
-        let heap = run_calendar(CalendarKind::Heap, &ops);
-        let wheel = run_calendar(CalendarKind::Wheel, &ops);
+        let heap = run_calendar(HeapModel::default(), &ops);
+        let wheel = run_calendar(EventQueue::<u32>::new(), &ops);
         prop_assert_eq!(heap.len(), wheel.len(), "trace lengths diverge");
         for (i, (h, w)) in heap.iter().zip(wheel.iter()).enumerate() {
             prop_assert_eq!(h, w, "divergence at pop {}", i);

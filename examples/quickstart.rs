@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart \
-//!     [-- --counters <path>] [--json <path>] [--calendar {heap,wheel}]
+//!     [-- --counters <path>] [--json <path>]
 //! ```
 //!
 //! Every run has the flight recorder and strict invariant auditing on:
@@ -12,6 +12,7 @@
 //! violation aborts the run, and the final line prints the 1500 B run's
 //! bottleneck attribution.
 
+use fld_bench::report::take_flag_value;
 use flexdriver::accel::EchoAccelerator;
 use flexdriver::core::{ClientGen, FldSystem, GenMode, HostMode, SystemConfig};
 use flexdriver::nic::{Action, Direction, MatchSpec, Rule};
@@ -48,45 +49,20 @@ fn install_echo_rules(sys: &mut FldSystem) {
         .expect("rule installs");
 }
 
-/// Removes `flag` and its value from `args`; exits on a missing value.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) if i + 1 < args.len() => {
-            args.remove(i);
-            Some(args.remove(i))
-        }
-        Some(_) => {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        }
-        None => None,
-    }
-}
-
 fn main() {
     // Optional flags: `--counters <path>` dumps every run's hardware
     // counter tree (versioned JSON, plus a <path>.txt ethtool-style
     // listing) for `counter_diff` to compare across runs; `--json <path>`
-    // writes a machine-readable run report; `--calendar {heap,wheel}`
-    // selects the event-calendar backend (the two must be bit-identical —
-    // CI diffs their reports byte for byte).
+    // writes a machine-readable run report (two same-seed runs must be
+    // byte-identical — CI diffs their reports). Any other argument is an
+    // error (exit 2).
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let counters_path = take_value(&mut args, "--counters").map(std::path::PathBuf::from);
-    let json_path = take_value(&mut args, "--json").map(std::path::PathBuf::from);
-    if let Some(cal) = take_value(&mut args, "--calendar") {
-        match flexdriver::sim::queue::CalendarKind::parse(&cal) {
-            Some(kind) => flexdriver::sim::queue::set_default_kind(kind),
-            None => {
-                eprintln!("--calendar must be \"heap\" or \"wheel\", got {cal:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let counters_path = take_flag_value(&mut args, "--counters").map(std::path::PathBuf::from);
+    let json_path = take_flag_value(&mut args, "--json").map(std::path::PathBuf::from);
     if let Some(unknown) = args.first() {
         eprintln!(
             "unknown argument {unknown:?}\n\
-             usage: quickstart [--counters <path>] [--json <path>] \
-             [--calendar {{heap,wheel}}]"
+             usage: quickstart [--counters <path>] [--json <path>]"
         );
         std::process::exit(2);
     }
@@ -100,9 +76,9 @@ fn main() {
     println!("frame B | measured Gbps | model bound Gbps | unloaded RTT us");
     println!("--------|---------------|------------------|----------------");
     // Each frame size is an independent pair of runs; the sweep runner
-    // spreads them over worker threads (all on one without --jobs).
+    // spreads them over one worker per core.
     let frames: Vec<u32> = vec![64, 256, 512, 1024, 1500];
-    let runs = fld_bench::runner::run_points_with(frames, 4, |frame| {
+    let runs = fld_bench::runner::run_points(frames, |frame| {
         // Throughput: offer line rate of this frame size, open loop.
         let rate = cfg.client_rate.as_bps() / (frame as f64 * 8.0);
         let gen = ClientGen::fixed_udp(
@@ -162,9 +138,9 @@ fn main() {
         println!("\n1500 B run {report}");
     }
     if let Some(path) = json_path {
-        // Deliberately excludes the calendar backend and any wall-clock
-        // numbers: the report depends only on simulated behaviour, so CI
-        // asserts the heap and wheel runs produce byte-identical files.
+        // Deliberately excludes any wall-clock numbers: the report depends
+        // only on simulated behaviour, so CI asserts two same-seed runs
+        // produce byte-identical files.
         let mut w = flexdriver::sim::json::JsonWriter::pretty();
         w.begin_object();
         w.field_u64("schema_version", flexdriver::sim::json::SCHEMA_VERSION);
