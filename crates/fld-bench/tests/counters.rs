@@ -390,9 +390,8 @@ proptest! {
     /// Rack-level telescoping: for any small rack topology, traffic
     /// mix, shaper setting and fault plan, the per-VF counter subtrees
     /// (`vf/<n>/...`) summed across every node equal the PF aggregates
-    /// the rack exports — and the strict per-tick audits (which also
-    /// run `check_counter_sum` over each node's VF subtree against its
-    /// PF grand total) hold throughout.
+    /// the rack exports — and the strict per-tick audits hold
+    /// throughout.
     #[test]
     fn rack_vf_counters_telescope_under_arbitrary_workloads(
         nodes in 1u16..=3,

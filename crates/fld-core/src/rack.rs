@@ -347,27 +347,19 @@ impl FabricPort {
     }
 }
 
-/// The per-destination fabric aggregates the `fabric/port/<d>/...`
-/// counter subtree telescopes to.
-#[derive(Debug, Default, Clone, Copy)]
-struct FabricTotals {
-    forwarded: u64,
-    bytes: u64,
-    drops: u64,
-    /// Packets offered to a flapped (down) port: blackholed at the
-    /// switch, never buffered. Only moves while a fault schedule is
-    /// armed.
-    blackholed: u64,
+/// One fabric egress port's counter handles (`fabric/port/<d>/...`).
+#[derive(Debug)]
+struct PortCounters {
+    forwarded: Counter,
+    bytes: Counter,
+    /// Offers refused for lack of buffer credit.
+    drops: Counter,
 }
 
-impl FabricTotals {
-    fn grand_total(&self) -> u64 {
-        self.forwarded + self.bytes + self.drops + self.blackholed
-    }
+/// Sum of `counters`' values.
+fn total<'a>(counters: impl IntoIterator<Item = &'a Counter>) -> u64 {
+    counters.into_iter().map(Counter::get).sum()
 }
-
-/// Per-port counter handles: (forwarded, bytes, drops).
-type PortCounters = (Counter, Counter, Counter);
 
 /// The spraying echo accelerator every rack node runs: returns each
 /// packet to the wire, spreading transmissions across all tx rings by
@@ -549,12 +541,11 @@ struct ScheduledFaults {
     node_down_until: Vec<SimTime>,
     port_down_until: Vec<SimTime>,
     vf_down_until: Vec<SimTime>,
-    /// `fabric/port/<d>/blackholed` handles (offer-time blackholes).
+    /// `fabric/port/<d>/blackholed` handles: packets offered to a
+    /// flapped (down) port, blackholed at the switch, never buffered.
     port_blackholed: Vec<Counter>,
     /// `boundary/node/<n>/drops` handles (delivery-time losses).
     boundary_node: Vec<Counter>,
-    /// Independent aggregate the `boundary/` subtree telescopes to.
-    boundary_drops: u64,
     flows_killed: u64,
     flows_revived: u64,
     /// Whether a HealthTick is in the calendar (armed while any entity
@@ -569,6 +560,16 @@ impl ScheduledFaults {
 
     fn port_down(&self, port: usize, now: SimTime) -> bool {
         now < self.port_down_until[port]
+    }
+
+    /// Packets blackholed at flapped fabric ports, all ports.
+    fn blackholed(&self) -> u64 {
+        total(&self.port_blackholed)
+    }
+
+    /// Packets lost at faulted rack boundaries, all nodes.
+    fn boundary_drops(&self) -> u64 {
+        total(&self.boundary_node)
     }
 
     /// Whether any fault domain is inside its down window at `now` —
@@ -596,7 +597,6 @@ pub struct Rack {
     // Rack-level counter tree and pre-resolved per-port handles.
     counters: CounterTree,
     port_ctrs: Vec<PortCounters>,
-    fabric: FabricTotals,
     // Measurement.
     tenant_rtt: Vec<Histogram>,
     outage_rtt: Vec<Histogram>,
@@ -639,12 +639,10 @@ impl Rack {
         let port_names = (0..cfg.nodes).map(|d| format!("fabric.port.{d}")).collect();
         let counters = CounterTree::new();
         let port_ctrs = (0..cfg.nodes)
-            .map(|d| {
-                (
-                    counters.counter(&format!("fabric/port/{d}/forwarded")),
-                    counters.counter(&format!("fabric/port/{d}/bytes")),
-                    counters.counter(&format!("fabric/port/{d}/drops")),
-                )
+            .map(|d| PortCounters {
+                forwarded: counters.counter(&format!("fabric/port/{d}/forwarded")),
+                bytes: counters.counter(&format!("fabric/port/{d}/bytes")),
+                drops: counters.counter(&format!("fabric/port/{d}/drops")),
             })
             .collect();
         Rack {
@@ -655,7 +653,6 @@ impl Rack {
             pop,
             counters,
             port_ctrs,
-            fabric: FabricTotals::default(),
             tenant_rtt: (0..cfg.tenants).map(|_| Histogram::new()).collect(),
             outage_rtt: (0..cfg.tenants).map(|_| Histogram::new()).collect(),
             offered: 0,
@@ -822,7 +819,6 @@ impl Rack {
             vf_down_until: vec![SimTime::ZERO; nodes * tenants],
             port_blackholed,
             boundary_node,
-            boundary_drops: 0,
             flows_killed: 0,
             flows_revived: 0,
             tick_armed: false,
@@ -848,6 +844,16 @@ impl Rack {
     /// The embedded nodes.
     pub fn nodes(&self) -> &[FldSystem] {
         &self.nodes
+    }
+
+    /// One per-port fabric counter summed over the egress ports.
+    fn fabric_total(&self, leaf: fn(&PortCounters) -> &Counter) -> u64 {
+        total(self.port_ctrs.iter().map(leaf))
+    }
+
+    /// Packets blackholed at flapped ports (0 with no fault schedule).
+    fn blackholed(&self) -> u64 {
+        self.sf.as_ref().map_or(0, ScheduledFaults::blackholed)
     }
 
     /// Runs the rack to `deadline`, measuring RTTs from `warmup` onward.
@@ -913,11 +919,11 @@ impl Rack {
             fault_domains,
             tenant_rx_bytes,
             offered: self.offered,
-            forwarded: self.fabric.forwarded,
+            forwarded: self.fabric_total(|c| &c.forwarded),
             delivered: self.delivered,
-            fabric_drops: self.fabric.drops,
-            blackholed: self.fabric.blackholed,
-            boundary_drops: self.sf.as_ref().map_or(0, |sf| sf.boundary_drops),
+            fabric_drops: self.fabric_total(|c| &c.drops),
+            blackholed: self.blackholed(),
+            boundary_drops: self.sf.as_ref().map_or(0, ScheduledFaults::boundary_drops),
             shaper_drops,
             arrivals: self.pop.arrivals(),
             departures: self.pop.departures(),
@@ -994,22 +1000,16 @@ impl Rack {
         if let Some(sf) = &self.sf {
             if sf.port_down(d, now) {
                 sf.port_blackholed[d].inc();
-                self.fabric.blackholed += 1;
                 return;
             }
         }
         match self.ports[d].offer(now, wire) {
             Some(arrive) => {
-                self.port_ctrs[d].0.inc();
-                self.port_ctrs[d].1.add(wire);
-                self.fabric.forwarded += 1;
-                self.fabric.bytes += wire;
+                self.port_ctrs[d].forwarded.inc();
+                self.port_ctrs[d].bytes.add(wire);
                 eng.schedule_at(arrive, RackEv::Node(dst, Ev::ArriveAtNic(pkt)));
             }
-            None => {
-                self.port_ctrs[d].2.inc();
-                self.fabric.drops += 1;
-            }
+            None => self.port_ctrs[d].drops.inc(),
         }
     }
 
@@ -1177,7 +1177,6 @@ impl Model for Rack {
                         if let Some(sf) = self.sf.as_mut() {
                             if sf.node_down(n as usize, now) || sf.port_down(n as usize, now) {
                                 sf.boundary_node[n as usize].inc();
-                                sf.boundary_drops += 1;
                                 return;
                             }
                         }
@@ -1192,7 +1191,6 @@ impl Model for Rack {
                             // boundary side too and stop delivery.
                             if let Some(sf) = self.sf.as_mut() {
                                 sf.boundary_node[n as usize].inc();
-                                sf.boundary_drops += 1;
                             }
                             return;
                         }
@@ -1277,30 +1275,15 @@ impl Model for Rack {
             out.push("rack.health.suspect", suspect as f64);
             out.push("rack.health.down", down as f64);
             out.push("rack.health.recovering", recovering as f64);
-            out.push("rack.boundary.drops", sf.boundary_drops as f64);
-            out.push("rack.fabric.blackholed", self.fabric.blackholed as f64);
+            out.push("rack.boundary.drops", sf.boundary_drops() as f64);
+            out.push("rack.fabric.blackholed", sf.blackholed() as f64);
         }
     }
 
     fn audit(&mut self, at: SimTime, auditor: &mut Auditor) {
-        // Every node's full single-system audit, including its SR-IOV
-        // per-VF -> PF counter telescoping.
+        // Every node's full single-system audit.
         for node in &mut self.nodes {
             Model::audit(node, at, auditor);
-        }
-        // Fabric counter telescoping against the independent aggregates.
-        let t = &self.counters;
-        auditor.check_counter_sum(at, "rack.fabric", t, "fabric", self.fabric.grand_total());
-        for (leaf, agg) in [
-            ("forwarded", self.fabric.forwarded),
-            ("bytes", self.fabric.bytes),
-            ("drops", self.fabric.drops),
-            ("blackholed", self.fabric.blackholed),
-        ] {
-            let sum = t.sum_leaf("fabric", leaf);
-            auditor.check(at, "rack.fabric", "counter-telescope", sum == agg, || {
-                format!("fabric/*/{leaf} sums to {sum} but the aggregate is {agg}")
-            });
         }
         // Port credit accounting never exceeds the configured buffer.
         for (port, name) in self.ports.iter().zip(&self.port_names) {
@@ -1309,21 +1292,17 @@ impl Model for Rack {
         // Cross-layer conservation: nodes can only have received what the
         // fabric forwarded, less what died at faulted boundaries (the
         // rest is still on fabric wires).
-        let boundary = self.sf.as_ref().map_or(0, |sf| sf.boundary_drops);
-        let entered: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.counter_tree().get("port/0/rx/packets").unwrap_or(0))
-            .sum();
+        let boundary = self.sf.as_ref().map_or(0, ScheduledFaults::boundary_drops);
+        let entered: u64 = self.nodes.iter().map(FldSystem::port_rx_packets).sum();
+        let forwarded = self.fabric_total(|c| &c.forwarded);
         auditor.check(
             at,
             "rack.flow",
             "conservation",
-            entered + boundary <= self.fabric.forwarded,
+            entered + boundary <= forwarded,
             || {
                 format!(
-                    "nodes received {entered} packets (+{boundary} boundary drops) but the fabric forwarded only {}",
-                    self.fabric.forwarded
+                    "nodes received {entered} packets (+{boundary} boundary drops) but the fabric forwarded only {forwarded}"
                 )
             },
         );
@@ -1335,7 +1314,7 @@ impl Model for Rack {
             .iter()
             .map(|n| n.nic.sriov().pf_totals().tx_packets)
             .sum();
-        let fabric_offered = self.fabric.forwarded + self.fabric.drops + self.fabric.blackholed;
+        let fabric_offered = forwarded + self.fabric_total(|c| &c.drops) + self.blackholed();
         auditor.check(
             at,
             "rack.vf",
@@ -1343,14 +1322,12 @@ impl Model for Rack {
             vf_tx == fabric_offered,
             || format!("VFs transmitted {vf_tx} packets, fabric was offered {fabric_offered}"),
         );
-        // Scheduled-fault accounting: the ledger balances, every
-        // injection is attributed to a faults/<entity>/<kind> counter,
-        // and the boundary subtree telescopes to its aggregate.
+        // Scheduled-fault accounting: the ledger balances, and every
+        // injection is attributed to a faults/<entity>/<kind> counter.
         if let Some(sf) = &self.sf {
             sf.ledger.audit(at, "rack.faults", auditor);
             sf.ledger
                 .attribution_audit(at, "rack.faults", &self.counters, auditor);
-            auditor.check_counter_sum(at, "rack.boundary", t, "boundary", sf.boundary_drops);
         }
         // Merged per-node ledger view (packet-level faults): the sum of
         // the node books telescopes to the per-node faults/* counter
@@ -1397,22 +1374,14 @@ impl Model for Rack {
             sf.ledger.drained_audit(at, "rack.faults", auditor);
             sf.health.drained_audit(at, "rack.health", auditor);
         }
-        let entered: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.counter_tree().get("port/0/rx/packets").unwrap_or(0))
-            .sum();
+        let entered: u64 = self.nodes.iter().map(FldSystem::port_rx_packets).sum();
+        let forwarded = self.fabric_total(|c| &c.forwarded);
         auditor.check(
             at,
             "rack.flow",
             "conservation",
-            entered == self.fabric.forwarded,
-            || {
-                format!(
-                    "drained rack: nodes received {entered} of {} forwarded packets",
-                    self.fabric.forwarded
-                )
-            },
+            entered == forwarded,
+            || format!("drained rack: nodes received {entered} of {forwarded} forwarded packets"),
         );
     }
 
@@ -1429,9 +1398,9 @@ impl Model for Rack {
     fn export_metrics(&mut self, _end: SimTime, _timeline: &Timeline, m: &mut MetricsRegistry) {
         m.counter("rack.offered", self.offered);
         m.counter("rack.delivered", self.delivered);
-        m.counter("rack.fabric.forwarded", self.fabric.forwarded);
-        m.counter("rack.fabric.bytes", self.fabric.bytes);
-        m.counter("rack.fabric.drops", self.fabric.drops);
+        m.counter("rack.fabric.forwarded", self.fabric_total(|c| &c.forwarded));
+        m.counter("rack.fabric.bytes", self.fabric_total(|c| &c.bytes));
+        m.counter("rack.fabric.drops", self.fabric_total(|c| &c.drops));
         m.counter("rack.churn.arrivals", self.pop.arrivals());
         m.counter("rack.churn.departures", self.pop.departures());
         m.counter("rack.flows.active", self.pop.active_count() as u64);
@@ -1455,8 +1424,8 @@ impl Model for Rack {
         }
         if let Some(sf) = &self.sf {
             m.counter("rack.vf.unplug_drops", pf.unplug_drops);
-            m.counter("rack.fabric.blackholed", self.fabric.blackholed);
-            m.counter("rack.boundary.drops", sf.boundary_drops);
+            m.counter("rack.fabric.blackholed", sf.blackholed());
+            m.counter("rack.boundary.drops", sf.boundary_drops());
             m.counter("rack.flows.killed", sf.flows_killed);
             m.counter("rack.flows.revived", sf.flows_revived);
             sf.health.export(m);

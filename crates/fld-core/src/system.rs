@@ -649,12 +649,6 @@ pub struct FldSystem {
     /// Per-flow rx handles, resolved on each flow's first packet and
     /// capped at [`FLOW_COUNTER_CAP`]; excess flows share `flow/other`.
     flow_ctrs: std::collections::HashMap<fld_net::FlowKey, FlowHandles>,
-    /// Packets accepted into host rx queues — the aggregate the per-queue
-    /// rx counters telescope to.
-    host_rx_accepted: u64,
-    /// Packets delivered to the accelerator — the aggregate `accel/0/jobs`
-    /// mirrors.
-    accel_jobs: u64,
 }
 
 /// Most distinct flows given their own counter paths; beyond this, traffic
@@ -739,11 +733,11 @@ enum LinkFate {
 
 /// Event-level packet accounting, maintained at the pipeline's terminal
 /// sites so the conservation law `entered + synthesized == delivered +
-/// dropped + absorbed + in_flight` is checkable at any instant.
+/// dropped + absorbed + in_flight` is checkable at any instant. The
+/// packets that `entered` at the NIC port are the `port/0/rx/packets`
+/// counter, passed in by the caller.
 #[derive(Debug, Default)]
 struct FlowCounts {
-    /// Packets that arrived at the NIC port.
-    entered: u64,
     /// Packets created by an accelerator (fresh ids on emit).
     synthesized: u64,
     /// Packets that reached a terminal consumer (client or host app).
@@ -755,16 +749,16 @@ struct FlowCounts {
 }
 
 impl FlowCounts {
-    fn packets_in(&self) -> u64 {
-        self.entered + self.synthesized
+    fn packets_in(&self, entered: u64) -> u64 {
+        entered + self.synthesized
     }
 
     fn packets_out(&self) -> u64 {
         self.delivered + self.dropped + self.absorbed
     }
 
-    fn in_flight(&self) -> u64 {
-        self.packets_in().saturating_sub(self.packets_out())
+    fn in_flight(&self, entered: u64) -> u64 {
+        self.packets_in(entered).saturating_sub(self.packets_out())
     }
 }
 
@@ -869,8 +863,6 @@ impl FldSystem {
             counters,
             ctr,
             flow_ctrs: std::collections::HashMap::new(),
-            host_rx_accepted: 0,
-            accel_jobs: 0,
         }
     }
 
@@ -878,6 +870,11 @@ impl FldSystem {
     /// a [`CounterTree::snapshot`] for a consistent read).
     pub fn counter_tree(&self) -> &CounterTree {
         &self.counters
+    }
+
+    /// Packets that arrived at the NIC port (`port/0/rx/packets`).
+    pub fn port_rx_packets(&self) -> u64 {
+        self.ctr.port_rx_packets.get()
     }
 
     /// Counts one wire arrival against its flow's rx counters, resolving
@@ -952,7 +949,6 @@ impl FldSystem {
     /// Begins stage tracking for a packet entering the NIC.
     fn begin_packet(&mut self, id: u64, born: SimTime, now: SimTime) {
         self.tracer.record(now, id, TraceEventKind::PacketIngress);
-        self.flow.entered += 1;
         if !self.track_stages {
             return;
         }
@@ -1290,7 +1286,6 @@ impl FldSystem {
         let id = pkt.id;
         self.tracer.record(now, id, TraceEventKind::AccelDeliver);
         self.mark_stage(id, stage::PCIE_RX, now);
-        self.accel_jobs += 1;
         self.ctr.accel_jobs.inc();
         // A transient accelerator stall delays processing; FLD's SRAM
         // buffering absorbs it (§ 5.3), so it is pure added latency.
@@ -1467,7 +1462,6 @@ impl FldSystem {
             return;
         }
         self.ctr.rxq[core].0.inc();
-        self.host_rx_accepted += 1;
         self.mark_stage(pkt.id, stage::HOST_DMA, now);
         match &mut self.host_mode {
             HostMode::Echo => {
@@ -1705,7 +1699,10 @@ impl Model for FldSystem {
         }
         let depth_ns = self.accel.queue_depth(now);
         out.push("accel.queue_depth", depth_ns);
-        out.push("system.in_flight", self.flow.in_flight() as f64);
+        out.push(
+            "system.in_flight",
+            self.flow.in_flight(self.port_rx_packets()) as f64,
+        );
         self.host.probes("host", now, interval, out);
         // Per-stage windowed utilizations, named after the pipeline stage
         // each link realizes (not the link's metrics name).
@@ -1751,53 +1748,25 @@ impl Model for FldSystem {
             || format!("nic counted {nic_pol} policer drops, system ledger has {sys_pol}"),
         );
         // System-wide packet conservation (inequality while in flight).
-        let (pin, pout) = (self.flow.packets_in(), self.flow.packets_out());
+        let port_rx = self.port_rx_packets();
+        let (pin, pout) = (self.flow.packets_in(port_rx), self.flow.packets_out());
         auditor.check(at, "system.flow", "conservation", pin >= pout, || {
             format!("more packets out ({pout}) than ever in ({pin})")
         });
         if let Some(inj) = &self.faults {
             inj.ledger().audit(at, "fld", auditor);
         }
-        // Counter telescoping: every per-entity counter group must agree
-        // with the aggregate maintained at the same events, at every
+        // Counter telescoping: each per-entity counter group must sum to
+        // the total counted at another site of the pipeline, at every
         // audit instant (per sample tick and end of run).
         let t = &self.counters;
-        auditor.check_counter_eq(
-            at,
-            "counters.port",
-            t,
-            "port/0/rx/packets",
-            self.flow.entered,
-        );
         let flow_pkts = t.sum_leaf("flow", "packets");
-        let port_rx = t.get("port/0/rx/packets").unwrap_or(0);
         auditor.check(
             at,
             "counters.flow",
             "counter-telescope",
             flow_pkts == port_rx,
             || format!("per-flow packets sum to {flow_pkts} but port rx saw {port_rx}"),
-        );
-        auditor.check_counter_eq(
-            at,
-            "counters.eswitch",
-            t,
-            "eswitch/port/0/match",
-            self.nic.classifier_matches(),
-        );
-        auditor.check_counter_eq(
-            at,
-            "counters.eswitch",
-            t,
-            "eswitch/port/0/miss",
-            self.nic.classifier_drops(),
-        );
-        auditor.check_counter_eq(
-            at,
-            "counters.eswitch",
-            t,
-            "eswitch/port/0/policer_drop",
-            self.nic.policer_drops(),
         );
         let txq_pkts = t.sum_leaf("port/0/queue/tx", "packets");
         let enqueued = self.fld.tx.enqueued();
@@ -1819,13 +1788,6 @@ impl Model for FldSystem {
             txq_drops == tx_drop_agg,
             || format!("per-tx-queue drops sum to {txq_drops}, drop ledger has {tx_drop_agg}"),
         );
-        auditor.check_counter_sum(
-            at,
-            "counters.rxq",
-            t,
-            "port/0/queue/rx",
-            self.host_rx_accepted + self.stats.drops.get(drops::HOST_QUEUE_OVERFLOW),
-        );
         let rxq_drops = t.sum_leaf("port/0/queue/rx", "drops");
         let overflow = self.stats.drops.get(drops::HOST_QUEUE_OVERFLOW);
         auditor.check(
@@ -1835,7 +1797,6 @@ impl Model for FldSystem {
             rxq_drops == overflow,
             || format!("per-rx-queue drops sum to {rxq_drops}, overflow ledger has {overflow}"),
         );
-        auditor.check_counter_eq(at, "counters.accel", t, "accel/0/jobs", self.accel_jobs);
         if let Some(inj) = &self.faults {
             auditor.check_counter_eq(
                 at,
@@ -1863,8 +1824,9 @@ impl Model for FldSystem {
     }
 
     fn drained_audit(&mut self, at: SimTime, auditor: &mut Auditor) {
-        let (pin, pout) = (self.flow.packets_in(), self.flow.packets_out());
-        let flow = format!("{:?}", self.flow);
+        let entered = self.port_rx_packets();
+        let (pin, pout) = (self.flow.packets_in(entered), self.flow.packets_out());
+        let flow = format!("entered: {entered}, {:?}", self.flow);
         auditor.check(at, "system.flow", "conservation", pin == pout, || {
             format!("drained run leaked {pin} in vs {pout} out ({flow})")
         });
@@ -1891,8 +1853,9 @@ impl Model for FldSystem {
         m.counter("gen.sent", self.stats.sent);
         m.counter("gen.responses", self.gen.responses);
         m.counter("nic.decapsulated", self.decapped);
-        m.counter("host.rx_accepted", self.host_rx_accepted);
-        m.counter("accel.jobs", self.accel_jobs);
+        let rx_accepted = self.ctr.rxq.iter().map(|(packets, _)| packets.get()).sum();
+        m.counter("host.rx_accepted", rx_accepted);
+        m.counter("accel.jobs", self.ctr.accel_jobs.get());
         Component::export_metrics(&self.client_up, "link.client_up", end, m);
         Component::export_metrics(&self.client_down, "link.client_down", end, m);
         Component::export_metrics(&self.pcie_to_fld, "pcie.to_fld", end, m);

@@ -85,16 +85,12 @@ pub struct Nic {
     policers: PolicerSet,
     qps: HashMap<u32, RcQp>,
     next_qpn: u32,
-    /// Packets dropped by policers.
-    policer_drops: u64,
-    /// Packets dropped by classification.
-    classifier_drops: u64,
-    /// Packets matched (any verdict but `Drop`) by classification.
-    classifier_matches: u64,
-    /// eSwitch counter-tree handles (`eswitch/port/<p>/...`), detached
-    /// until [`Nic::wire_counters`].
+    /// Packets matched (any verdict but `Drop`) by classification
+    /// (`eswitch/port/<p>/match` once wired).
     ctr_match: Counter,
+    /// Packets dropped by classification (`eswitch/port/<p>/miss`).
     ctr_miss: Counter,
+    /// Packets dropped by policers (`eswitch/port/<p>/policer_drop`).
     ctr_policer_drop: Counter,
     /// SR-IOV virtual functions (empty ⇒ disabled, every hook a no-op).
     sriov: SrIov,
@@ -112,9 +108,6 @@ impl Nic {
             policers: PolicerSet::new(),
             qps: HashMap::new(),
             next_qpn: 0x100,
-            policer_drops: 0,
-            classifier_drops: 0,
-            classifier_matches: 0,
             ctr_match: Counter::detached(),
             ctr_miss: Counter::detached(),
             ctr_policer_drop: Counter::detached(),
@@ -125,17 +118,13 @@ impl Nic {
 
     /// Registers this NIC's eSwitch counters as port `port` of `tree`
     /// (`eswitch/port/<p>/match|miss|policer_drop`), carrying over
-    /// anything counted before wiring. The counter values mirror
-    /// [`Nic::classifier_matches`], [`Nic::classifier_drops`] and
-    /// [`Nic::policer_drops`] exactly — the telescoping audit holds the
-    /// two bookkeeping systems to that.
+    /// anything counted before wiring.
     pub fn wire_counters(&mut self, tree: &CounterTree, port: usize) {
-        self.ctr_match = tree.counter(&format!("eswitch/port/{port}/match"));
-        self.ctr_match.add(self.classifier_matches);
-        self.ctr_miss = tree.counter(&format!("eswitch/port/{port}/miss"));
-        self.ctr_miss.add(self.classifier_drops);
-        self.ctr_policer_drop = tree.counter(&format!("eswitch/port/{port}/policer_drop"));
-        self.ctr_policer_drop.add(self.policer_drops);
+        let base = format!("eswitch/port/{port}");
+        self.ctr_match.wire_into(tree, &format!("{base}/match"));
+        self.ctr_miss.wire_into(tree, &format!("{base}/miss"));
+        self.ctr_policer_drop
+            .wire_into(tree, &format!("{base}/policer_drop"));
         self.sriov.wire_counters(tree);
     }
 
@@ -217,7 +206,7 @@ impl Nic {
         self.sriov.replug(vf)
     }
 
-    /// The SR-IOV state (VF lookup, PF totals, telescoping audit).
+    /// The SR-IOV state (VF lookup, PF totals).
     pub fn sriov(&self) -> &SrIov {
         &self.sriov
     }
@@ -297,15 +286,12 @@ impl Nic {
         (verdict, fx)
     }
 
-    /// Books one classification outcome on both sides: the aggregate
-    /// fields and the eSwitch per-port counters (mlx5 counts the same
-    /// event as a flow-table hit/miss).
+    /// Books one classification outcome as an eSwitch flow-table hit
+    /// or miss.
     fn count_verdict(&mut self, verdict: Verdict) {
         if verdict == Verdict::Drop {
-            self.classifier_drops += 1;
             self.ctr_miss.inc();
         } else {
-            self.classifier_matches += 1;
             self.ctr_match.inc();
         }
     }
@@ -327,7 +313,6 @@ impl Nic {
     pub fn police(&mut self, context: u32, now: SimTime, bytes: u64) -> bool {
         match self.policers.offer(context, now, bytes) {
             PolicerVerdict::Exceed => {
-                self.policer_drops += 1;
                 self.ctr_policer_drop.inc();
                 false
             }
@@ -337,7 +322,7 @@ impl Nic {
 
     /// Packets dropped by policers so far.
     pub fn policer_drops(&self) -> u64 {
-        self.policer_drops
+        self.ctr_policer_drop.get()
     }
 
     /// Total shaper tokens in bytes across all installed policers at
@@ -354,20 +339,23 @@ impl Nic {
 
     /// Packets dropped by classification so far.
     pub fn classifier_drops(&self) -> u64 {
-        self.classifier_drops
+        self.ctr_miss.get()
     }
 
     /// Packets classified to a non-drop verdict so far.
     pub fn classifier_matches(&self) -> u64 {
-        self.classifier_matches
+        self.ctr_match.get()
     }
 
     /// Registers the NIC's telemetry under `prefix` (e.g.
     /// `"{prefix}.eswitch.drops"`, `"{prefix}.rdma.retransmits"`).
     pub fn export_metrics(&self, prefix: &str, registry: &mut fld_sim::metrics::MetricsRegistry) {
-        registry.counter(format!("{prefix}.eswitch.drops"), self.classifier_drops);
-        registry.counter(format!("{prefix}.eswitch.matches"), self.classifier_matches);
-        registry.counter(format!("{prefix}.policer.drops"), self.policer_drops);
+        registry.counter(format!("{prefix}.eswitch.drops"), self.classifier_drops());
+        registry.counter(
+            format!("{prefix}.eswitch.matches"),
+            self.classifier_matches(),
+        );
+        registry.counter(format!("{prefix}.policer.drops"), self.policer_drops());
         registry.counter(
             format!("{prefix}.rss_contexts"),
             self.rss_contexts.len() as u64,
@@ -391,13 +379,12 @@ impl fld_sim::engine::Component for Nic {
         out.push_scoped(name, "shaper.tokens", self.shaper_tokens(now));
     }
 
-    /// Shaper token level bounded by the aggregate burst pool, plus the
-    /// per-VF → PF counter telescoping when SR-IOV is enabled.
+    /// Shaper token levels (the NIC's policers and, with SR-IOV
+    /// enabled, the VF shapers) bounded by their burst pools.
     fn audit(&mut self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
         let tokens = self.shaper_tokens(at);
         let burst = self.shaper_burst_bytes() as f64;
-        let [shaper, vf_shaper, sriov] =
-            self.audit_names.get(name, ["shaper", "vf.shaper", "sriov"]);
+        let [shaper, vf_shaper] = self.audit_names.get(name, ["shaper", "vf.shaper"]);
         auditor.check(
             at,
             shaper,
@@ -415,7 +402,6 @@ impl fld_sim::engine::Component for Nic {
                 (0.0..=vf_burst + 1e-6).contains(&vf_tokens),
                 || format!("vf token level {vf_tokens} outside pool 0..={vf_burst}"),
             );
-            self.sriov.audit_wired(sriov, at, auditor);
         }
     }
 
@@ -526,13 +512,16 @@ mod tests {
     }
 
     #[test]
-    fn eswitch_counters_mirror_the_aggregates() {
+    fn eswitch_counters_carry_over_when_wired() {
         let tree = CounterTree::new();
         let mut nic = Nic::new(NicConfig::default());
         // Count before wiring: the wire must carry the backlog over.
         let mut m = meta();
         let (v, _) = nic.classify_ingress(&mut m);
         assert_eq!(v, Verdict::Drop);
+        nic.install_policer(3, Bandwidth::gbps(1.0), 1500);
+        assert!(nic.police(3, SimTime::ZERO, 1500));
+        assert!(!nic.police(3, SimTime::ZERO, 1500));
         nic.wire_counters(&tree, 0);
         assert_eq!(tree.get("eswitch/port/0/miss"), Some(1));
         nic.install_rule(
@@ -547,21 +536,17 @@ mod tests {
         .unwrap();
         let (v, _) = nic.classify_ingress(&mut meta());
         assert_ne!(v, Verdict::Drop);
-        nic.install_policer(3, Bandwidth::gbps(1.0), 1500);
-        assert!(nic.police(3, SimTime::ZERO, 1500));
+        let (v, _) = nic.classify_egress(&mut meta());
+        assert_eq!(v, Verdict::Drop);
         assert!(!nic.police(3, SimTime::ZERO, 1500));
-        assert_eq!(
-            tree.get("eswitch/port/0/match"),
-            Some(nic.classifier_matches())
-        );
-        assert_eq!(
-            tree.get("eswitch/port/0/miss"),
-            Some(nic.classifier_drops())
-        );
-        assert_eq!(
-            tree.get("eswitch/port/0/policer_drop"),
-            Some(nic.policer_drops())
-        );
+        // Accessor == tree value == the events counted on both sides of
+        // the wire.
+        assert_eq!(nic.classifier_matches(), 1);
+        assert_eq!(tree.get("eswitch/port/0/match"), Some(1));
+        assert_eq!(nic.classifier_drops(), 2);
+        assert_eq!(tree.get("eswitch/port/0/miss"), Some(2));
+        assert_eq!(nic.policer_drops(), 2);
+        assert_eq!(tree.get("eswitch/port/0/policer_drop"), Some(2));
     }
 
     #[test]

@@ -176,22 +176,8 @@ pub struct RcQp {
     /// Set when the QP transitions to Error on its own (budget
     /// exhaustion); drained by [`RcQp::take_fatal`].
     fatal_pending: bool,
-    // --- stats ---
-    retransmits: u64,
-    sent_packets: u64,
-    received_packets: u64,
-    timeouts: u64,
-    naks_sent: u64,
-    naks_received: u64,
-    rnr_naks_received: u64,
-    /// Responder-side arrivals ahead of `expected_psn` (a gap episode's
-    /// packets — what mlx5 reports as `out_of_sequence`).
-    out_of_window: u64,
-    /// Responder-side duplicate requests re-ACKed (the requester's
-    /// original ACK was lost — mlx5's `duplicate_request`).
-    duplicate_acks: u64,
-    /// Counter-tree handles (`qp/<qpn>/...`), detached until
-    /// [`RcQp::wire_counters`].
+    /// Statistics, one counter-tree handle each (`qp/<qpn>/...`),
+    /// detached until [`RcQp::wire_counters`].
     ctr: QpCounters,
     audit_names: fld_sim::audit::PartNames,
 }
@@ -206,7 +192,11 @@ struct QpCounters {
     naks_sent: Counter,
     naks_received: Counter,
     rnr_naks: Counter,
+    /// Responder-side arrivals ahead of `expected_psn` (a gap episode's
+    /// packets — what mlx5 reports as `out_of_sequence`).
     out_of_window: Counter,
+    /// Responder-side duplicate requests re-ACKed (the requester's
+    /// original ACK was lost — mlx5's `duplicate_request`).
     duplicate_acks: Counter,
 }
 
@@ -229,55 +219,28 @@ impl RcQp {
             rnr_retries: 0,
             recover_at: None,
             fatal_pending: false,
-            retransmits: 0,
-            sent_packets: 0,
-            received_packets: 0,
-            timeouts: 0,
-            naks_sent: 0,
-            naks_received: 0,
-            rnr_naks_received: 0,
-            out_of_window: 0,
-            duplicate_acks: 0,
             ctr: QpCounters::default(),
             audit_names: Default::default(),
         }
     }
 
     /// Registers this QP's counter group under `qp/<qpn>/...` in `tree`,
-    /// carrying over anything counted before wiring. Every handle
-    /// mirrors the like-named integer statistic exactly; the telescoping
-    /// audit holds the two to each other.
+    /// carrying over anything counted before wiring.
     pub fn wire_counters(&mut self, tree: &CounterTree) {
         let base = format!("qp/{}", self.qpn);
-        for (leaf, handle, backlog) in [
-            ("tx_packets", &mut self.ctr.tx_packets, self.sent_packets),
-            (
-                "rx_packets",
-                &mut self.ctr.rx_packets,
-                self.received_packets,
-            ),
-            ("retransmits", &mut self.ctr.retransmits, self.retransmits),
-            ("timeouts", &mut self.ctr.timeouts, self.timeouts),
-            ("naks_sent", &mut self.ctr.naks_sent, self.naks_sent),
-            (
-                "naks_received",
-                &mut self.ctr.naks_received,
-                self.naks_received,
-            ),
-            ("rnr_naks", &mut self.ctr.rnr_naks, self.rnr_naks_received),
-            (
-                "out_of_window",
-                &mut self.ctr.out_of_window,
-                self.out_of_window,
-            ),
-            (
-                "duplicate_acks",
-                &mut self.ctr.duplicate_acks,
-                self.duplicate_acks,
-            ),
+        let c = &mut self.ctr;
+        for (leaf, handle) in [
+            ("tx_packets", &mut c.tx_packets),
+            ("rx_packets", &mut c.rx_packets),
+            ("retransmits", &mut c.retransmits),
+            ("timeouts", &mut c.timeouts),
+            ("naks_sent", &mut c.naks_sent),
+            ("naks_received", &mut c.naks_received),
+            ("rnr_naks", &mut c.rnr_naks),
+            ("out_of_window", &mut c.out_of_window),
+            ("duplicate_acks", &mut c.duplicate_acks),
         ] {
-            *handle = tree.counter(&format!("{base}/{leaf}"));
-            handle.add(backlog);
+            handle.wire_into(tree, &format!("{base}/{leaf}"));
         }
     }
 
@@ -298,47 +261,47 @@ impl RcQp {
 
     /// Packets retransmitted so far.
     pub fn retransmits(&self) -> u64 {
-        self.retransmits
+        self.ctr.retransmits.get()
     }
 
     /// Data packets sent (first transmissions and retransmissions).
     pub fn sent_packets(&self) -> u64 {
-        self.sent_packets
+        self.ctr.tx_packets.get()
     }
 
     /// Data packets accepted in order.
     pub fn received_packets(&self) -> u64 {
-        self.received_packets
+        self.ctr.rx_packets.get()
     }
 
     /// Retransmission-timer firings.
     pub fn timeouts(&self) -> u64 {
-        self.timeouts
+        self.ctr.timeouts.get()
     }
 
     /// NAKs generated as a responder (sequence-error plus RNR).
     pub fn naks_sent(&self) -> u64 {
-        self.naks_sent
+        self.ctr.naks_sent.get()
     }
 
     /// NAKs absorbed as a requester (sequence-error plus RNR).
     pub fn naks_received(&self) -> u64 {
-        self.naks_received
+        self.ctr.naks_received.get()
     }
 
     /// RNR NAKs absorbed as a requester.
     pub fn rnr_naks_received(&self) -> u64 {
-        self.rnr_naks_received
+        self.ctr.rnr_naks.get()
     }
 
     /// Responder-side arrivals ahead of the expected PSN (gap packets).
     pub fn out_of_window(&self) -> u64 {
-        self.out_of_window
+        self.ctr.out_of_window.get()
     }
 
     /// Responder-side duplicate requests re-acknowledged.
     pub fn duplicate_acks(&self) -> u64 {
-        self.duplicate_acks
+        self.ctr.duplicate_acks.get()
     }
 
     /// Returns and clears the pending fatal notification raised when the
@@ -449,7 +412,6 @@ impl RcQp {
                 wr_id: head.wr_id,
                 sent_at: now,
             });
-            self.sent_packets += 1;
             self.ctr.tx_packets.inc();
             out.push(pkt);
             head.sent += chunk;
@@ -475,9 +437,7 @@ impl RcQp {
             match pkt.syndrome {
                 AethSyndrome::Ack => self.on_ack(pkt.psn, &mut events),
                 AethSyndrome::RnrNak { .. } => {
-                    self.naks_received += 1;
                     self.ctr.naks_received.inc();
-                    self.rnr_naks_received += 1;
                     self.ctr.rnr_naks.inc();
                     if self.rnr_retries >= self.config.rnr_retry {
                         self.enter_error(&mut events);
@@ -491,7 +451,6 @@ impl RcQp {
                     self.recover_at = Some(now + self.config.rnr_timer);
                 }
                 AethSyndrome::Nak(NakCode::PsnSequenceError) => {
-                    self.naks_received += 1;
                     self.ctr.naks_received.inc();
                     if self.transport_retries >= self.config.retry_cnt {
                         self.enter_error(&mut events);
@@ -506,7 +465,6 @@ impl RcQp {
                 AethSyndrome::Nak(_) => {
                     // Invalid request / access / operational errors are
                     // unrecoverable by retransmission (IBTA).
-                    self.naks_received += 1;
                     self.ctr.naks_received.inc();
                     self.enter_error(&mut events);
                 }
@@ -522,7 +480,6 @@ impl RcQp {
                 // PSN (IBTA duplicate-request handling) — otherwise the
                 // requester would retransmit until its retry budget
                 // (`retry_cnt`) ran out and the QP failed needlessly.
-                self.duplicate_acks += 1;
                 self.ctr.duplicate_acks.inc();
                 let ack_psn = (self.expected_psn + PSN_MOD - 1) % PSN_MOD;
                 return (events, Some(self.make_ack(pkt.src_qp, ack_psn)));
@@ -530,11 +487,9 @@ impl RcQp {
             // A gap (future packet): NAK the first missing PSN so the
             // requester can go-back-N without waiting out its timer —
             // one NAK per gap episode to avoid a NAK storm.
-            self.out_of_window += 1;
             self.ctr.out_of_window.inc();
             if !self.nak_armed {
                 self.nak_armed = true;
-                self.naks_sent += 1;
                 self.ctr.naks_sent.inc();
                 let mut nak = self.make_ack(pkt.src_qp, self.expected_psn);
                 nak.syndrome = AethSyndrome::Nak(NakCode::PsnSequenceError);
@@ -544,7 +499,6 @@ impl RcQp {
         }
         self.nak_armed = false;
         self.expected_psn = (self.expected_psn + 1) % PSN_MOD;
-        self.received_packets += 1;
         self.ctr.rx_packets.inc();
         self.recv_in_progress += pkt.payload;
         self.unacked_count += 1;
@@ -592,7 +546,6 @@ impl RcQp {
             pkt.psn, self.expected_psn,
             "RNR rejects the next expected request"
         );
-        self.naks_sent += 1;
         self.ctr.naks_sent.inc();
         let mut nak = self.make_ack(pkt.src_qp, pkt.psn);
         // Timer code 14 ≈ 10 ms in IBTA encoding; the model's backoff is
@@ -691,12 +644,9 @@ impl RcQp {
                 return Vec::new();
             }
             self.transport_retries += 1;
-            self.timeouts += 1;
             self.ctr.timeouts.inc();
         }
-        self.retransmits += self.inflight.len() as u64;
         self.ctr.retransmits.add(self.inflight.len() as u64);
-        self.sent_packets += self.inflight.len() as u64;
         self.ctr.tx_packets.add(self.inflight.len() as u64);
         self.inflight
             .iter_mut()
@@ -1277,36 +1227,45 @@ mod tests {
         assert!(a.poll_timeout(now).is_empty());
     }
 
-    /// The `qp/<qpn>/...` counter handles mirror the integer statistics
-    /// exactly, including traffic counted before the QP was wired
-    /// (backlog carry-over).
+    /// Sends `bytes` from `a` to `b` without loss, then replays the
+    /// message's first packet to `b` (one duplicate re-ACK).
+    fn send_and_replay_first(a: &mut RcQp, b: &mut RcQp, wr_id: u64, bytes: u32) {
+        a.post_send(wr_id, bytes);
+        let pkts = a.poll_transmit(SimTime::ZERO);
+        for pkt in &pkts {
+            if let (_, Some(ack)) = b.on_packet(SimTime::ZERO, pkt) {
+                a.on_packet(SimTime::ZERO, &ack);
+            }
+        }
+        b.on_packet(SimTime::ZERO, &pkts[0]);
+    }
+
+    /// Counts taken before a QP is wired carry into its `qp/<qpn>/...`
+    /// handles and later counts land on top: each accessor reads the
+    /// tree's cell.
     #[test]
-    fn qp_counters_mirror_the_integer_stats() {
+    fn qp_counters_carry_over_when_wired() {
         let (mut a, mut b) = pair();
-        // Traffic before wiring: must be carried into the handles.
-        a.post_send(1, 4096);
-        run_lossless(&mut a, &mut b);
+        // 4 packets at the 1 KiB MTU, one replayed, before wiring.
+        send_and_replay_first(&mut a, &mut b, 1, 4096);
+        assert_eq!(a.sent_packets(), 4);
 
         let tree = CounterTree::new();
         a.wire_counters(&tree);
         b.wire_counters(&tree);
 
-        a.post_send(2, 8192);
-        run_lossless(&mut a, &mut b);
+        // 8 more packets, one replayed, after wiring.
+        send_and_replay_first(&mut a, &mut b, 2, 8192);
 
-        for qp in [&a, &b] {
-            let base = format!("qp/{}", qp.qpn());
-            let get = |leaf: &str| tree.get(&format!("{base}/{leaf}")).unwrap();
-            assert_eq!(get("tx_packets"), qp.sent_packets());
-            assert_eq!(get("rx_packets"), qp.received_packets());
-            assert_eq!(get("retransmits"), qp.retransmits());
-            assert_eq!(get("timeouts"), qp.timeouts());
-            assert_eq!(get("naks_sent"), qp.naks_sent());
-            assert_eq!(get("naks_received"), qp.naks_received());
-            assert_eq!(get("rnr_naks"), qp.rnr_naks_received());
-            assert_eq!(get("out_of_window"), qp.out_of_window());
-            assert_eq!(get("duplicate_acks"), qp.duplicate_acks());
-        }
-        assert!(tree.get("qp/100/tx_packets").unwrap() > 0);
+        let get = |path: &str| tree.get(path).unwrap();
+        assert_eq!(a.sent_packets(), 12);
+        assert_eq!(get("qp/100/tx_packets"), 12);
+        assert_eq!(b.received_packets(), 12);
+        assert_eq!(get("qp/200/rx_packets"), 12);
+        assert_eq!(b.duplicate_acks(), 2);
+        assert_eq!(get("qp/200/duplicate_acks"), 2);
+        assert_eq!(a.retransmits(), 0);
+        assert_eq!(get("qp/100/retransmits"), 0);
+        assert_eq!(tree.len(), 18, "nine handles per QP");
     }
 }

@@ -5,10 +5,8 @@
 //! space (rules that may only match the VF's own traffic), an optional
 //! transmit token-bucket shaper (the per-tenant maximum-bandwidth
 //! guarantee the rack isolation experiment measures), and a counter
-//! subtree `vf/<n>/...` whose per-VF leaves telescope to the PF
-//! aggregates this module maintains independently — the same two-sided
-//! bookkeeping contract as every other counter group, enforced by
-//! [`fld_sim::audit::Auditor::check_counter_sum`].
+//! subtree `vf/<n>/...`. The per-VF handles are the only store of those
+//! counts; the PF aggregates ([`SrIov::pf_totals`]) are their sums.
 //!
 //! The partition is enforced at rule-install time, the way mlx5's
 //! eSwitch forwards a VF's steering commands through the PF: a rule
@@ -85,8 +83,8 @@ impl VfSlot {
         }
     }
 
-    /// Re-resolves this slot's counters into `tree`, carrying over
-    /// anything counted while detached.
+    /// Moves this slot's counters into `tree`, carrying over anything
+    /// counted while detached.
     fn wire(&mut self, tree: &CounterTree, vf: usize) {
         for (leaf, ctr) in [
             ("rx_packets", &mut self.rx_packets),
@@ -96,16 +94,12 @@ impl VfSlot {
             ("shaper_drops", &mut self.shaper_drops),
             ("unplug_drops", &mut self.unplug_drops),
         ] {
-            let wired = tree.counter(&format!("vf/{vf}/{leaf}"));
-            wired.add(ctr.get());
-            *ctr = wired;
+            ctr.wire_into(tree, &format!("vf/{vf}/{leaf}"));
         }
     }
 }
 
-/// The PF-side aggregates the per-VF counters telescope to, maintained
-/// as plain integers on every accounting call (independent bookkeeping
-/// the audit holds the counter tree to).
+/// The PF-side aggregates: each field sums one leaf across the VFs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PfTotals {
     /// Packets received across all VFs.
@@ -122,26 +116,12 @@ pub struct PfTotals {
     pub unplug_drops: u64,
 }
 
-impl PfTotals {
-    /// Sum of every aggregate — what the whole `vf/` subtree sums to.
-    pub fn grand_total(&self) -> u64 {
-        self.rx_packets
-            + self.rx_bytes
-            + self.tx_packets
-            + self.tx_bytes
-            + self.shaper_drops
-            + self.unplug_drops
-    }
-}
-
-/// The SR-IOV switchdev state of one NIC: the VF slots plus the PF
-/// aggregates. Empty (`is_enabled() == false`) until the first
+/// The SR-IOV switchdev state of one NIC: the VF slots. Empty (`is_enabled() == false`) until the first
 /// [`SrIov::create_vf`], and every data-path hook is a cheap no-op then,
 /// so single-tenant systems pay nothing.
 #[derive(Debug, Default)]
 pub struct SrIov {
     vfs: Vec<VfSlot>,
-    pf: PfTotals,
     tree: Option<CounterTree>,
 }
 
@@ -238,7 +218,7 @@ impl SrIov {
     /// state is released, and until [`SrIov::replug`] every packet
     /// offered to or arriving for it is dropped and counted in
     /// `vf/<n>/unplug_drops`. Counters stay monotonic across the
-    /// transition so the PF telescoping audit holds throughout.
+    /// transition.
     /// Returns the number of rule bookings reclaimed; `None` for an
     /// unknown VF.
     pub fn unplug(&mut self, vf: u16) -> Option<usize> {
@@ -299,13 +279,10 @@ impl SrIov {
         if let Some(slot) = self.vfs.get_mut(vf as usize) {
             if slot.unplugged {
                 slot.unplug_drops.inc();
-                self.pf.unplug_drops += 1;
                 return false;
             }
             slot.rx_packets.inc();
             slot.rx_bytes.add(bytes);
-            self.pf.rx_packets += 1;
-            self.pf.rx_bytes += bytes;
         }
         true
     }
@@ -320,27 +297,32 @@ impl SrIov {
         };
         if slot.unplugged {
             slot.unplug_drops.inc();
-            self.pf.unplug_drops += 1;
             return false;
         }
         if let Some(tb) = &mut slot.shaper {
             if tb.earliest_send(now, bytes) > now {
                 slot.shaper_drops.inc();
-                self.pf.shaper_drops += 1;
                 return false;
             }
             tb.consume(now, bytes);
         }
         slot.tx_packets.inc();
         slot.tx_bytes.add(bytes);
-        self.pf.tx_packets += 1;
-        self.pf.tx_bytes += bytes;
         true
     }
 
-    /// The PF aggregates (independent of the counter tree).
+    /// The PF aggregates: each per-VF counter summed over the VFs.
     pub fn pf_totals(&self) -> PfTotals {
-        self.pf
+        let mut pf = PfTotals::default();
+        for s in &self.vfs {
+            pf.rx_packets += s.rx_packets.get();
+            pf.rx_bytes += s.rx_bytes.get();
+            pf.tx_packets += s.tx_packets.get();
+            pf.tx_bytes += s.tx_bytes.get();
+            pf.shaper_drops += s.shaper_drops.get();
+            pf.unplug_drops += s.unplug_drops.get();
+        }
+        pf
     }
 
     /// Token bytes available across all VF shapers at `now` (probe).
@@ -359,43 +341,6 @@ impl SrIov {
             .filter_map(|s| s.shaper.as_ref())
             .map(TokenBucket::burst_bytes)
             .sum()
-    }
-
-    /// [`SrIov::audit`] against the tree this state was wired into
-    /// (no-op before wiring or with no VFs).
-    pub fn audit_wired(&self, name: &str, at: SimTime, auditor: &mut fld_sim::audit::Auditor) {
-        if let Some(tree) = &self.tree {
-            self.audit(name, at, tree, auditor);
-        }
-    }
-
-    /// Audits the per-VF → PF telescoping against `tree`: the whole
-    /// `vf/` subtree sums to the PF grand total, and each per-kind leaf
-    /// family sums to its PF aggregate.
-    pub fn audit(
-        &self,
-        name: &str,
-        at: SimTime,
-        tree: &CounterTree,
-        auditor: &mut fld_sim::audit::Auditor,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        auditor.check_counter_sum(at, name, tree, "vf", self.pf.grand_total());
-        for (leaf, agg) in [
-            ("rx_packets", self.pf.rx_packets),
-            ("rx_bytes", self.pf.rx_bytes),
-            ("tx_packets", self.pf.tx_packets),
-            ("tx_bytes", self.pf.tx_bytes),
-            ("shaper_drops", self.pf.shaper_drops),
-            ("unplug_drops", self.pf.unplug_drops),
-        ] {
-            let sum = tree.sum_leaf("vf", leaf);
-            auditor.check(at, name, "counter-telescope", sum == agg, || {
-                format!("vf/*/{leaf} sums to {sum} but the PF aggregate is {agg}")
-            });
-        }
     }
 }
 
@@ -506,13 +451,9 @@ mod tests {
         assert!(s.offer_tx(vf, SimTime::ZERO, 1500));
         assert!(s.account_rx(vf, 1500));
 
-        // Counters stayed monotonic: the tree still telescopes.
-        let tree = CounterTree::new();
-        s.wire_counters(&tree);
-        assert_eq!(tree.sum_prefix("vf"), s.pf_totals().grand_total());
-        let mut auditor = fld_sim::audit::Auditor::new().strict();
-        s.audit("sriov", SimTime::ZERO, &tree, &mut auditor);
-        assert!(auditor.report().passed());
+        // Counters stayed monotonic across unplug and replug.
+        let pf = s.pf_totals();
+        assert_eq!((pf.tx_packets, pf.rx_packets, pf.unplug_drops), (2, 1, 2));
         assert_eq!(s.src_ip_of(vf), Some(Ipv4Addr::new(10, 9, 0, 3)));
         assert_eq!(s.unplug(99), None);
     }
@@ -525,18 +466,22 @@ mod tests {
         s.account_rx(a, 100);
         let tree = CounterTree::new();
         s.wire_counters(&tree);
-        assert_eq!(tree.get("vf/0/rx_packets"), Some(1));
-        assert_eq!(tree.get("vf/0/rx_bytes"), Some(100));
+        s.account_rx(a, 20);
         // A VF created after wiring lands in the tree immediately.
         let b = s.create_vf(VfConfig::for_context(2));
         s.account_rx(b, 50);
         assert!(s.offer_tx(b, SimTime::ZERO, 50));
+        // Accessor == tree value == the events counted on both sides of
+        // the wire.
+        let pf = s.pf_totals();
+        assert_eq!(pf.rx_packets, 3);
+        assert_eq!(tree.sum_leaf("vf", "rx_packets"), 3);
+        assert_eq!(tree.get("vf/0/rx_packets"), Some(2));
+        assert_eq!(pf.rx_bytes, 170);
+        assert_eq!(tree.get("vf/0/rx_bytes"), Some(120));
         assert_eq!(tree.get("vf/1/rx_bytes"), Some(50));
-        assert_eq!(tree.sum_leaf("vf", "rx_packets"), s.pf_totals().rx_packets);
-        assert_eq!(tree.sum_prefix("vf"), s.pf_totals().grand_total());
-        let mut auditor = fld_sim::audit::Auditor::new().strict();
-        s.audit("sriov", SimTime::ZERO, &tree, &mut auditor);
-        assert!(auditor.report().passed());
+        assert_eq!(pf.tx_bytes, 50);
+        assert_eq!(tree.get("vf/1/tx_bytes"), Some(50));
         assert_eq!(s.vf_for_context(2), Some(b));
         assert_eq!(s.context_of(a), Some(1));
     }

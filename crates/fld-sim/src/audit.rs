@@ -181,10 +181,10 @@ impl Auditor {
         );
     }
 
-    /// Counter telescoping, leaf form: the counter registered at `path`
-    /// in `tree` must equal the aggregate the component maintains
-    /// independently (its own integer field, exported into the
-    /// [`crate::metrics::MetricsRegistry`]).
+    /// Counter telescoping: the counter registered at `path` in `tree`
+    /// must equal `aggregate`, a total counted at another site of the
+    /// model (e.g. a PCIe function's completion timeouts against the
+    /// injector's `faults/<entity>/pcie_timeout` attribution).
     pub fn check_counter_eq(
         &mut self,
         at: SimTime,
@@ -201,24 +201,6 @@ impl Auditor {
             counter == aggregate,
             || format!("counter {path} reads {counter} but the aggregate is {aggregate}"),
         );
-    }
-
-    /// Counter telescoping, group form: the sum of every counter at or
-    /// below `prefix` in `tree` (per-queue, per-flow, per-entity leaves)
-    /// must equal the parent `aggregate` — queue sums telescope to port
-    /// totals, port totals to the registry values.
-    pub fn check_counter_sum(
-        &mut self,
-        at: SimTime,
-        component: &str,
-        tree: &crate::counters::CounterTree,
-        prefix: &str,
-        aggregate: u64,
-    ) {
-        let sum = tree.sum_prefix(prefix);
-        self.check(at, component, "counter-telescope", sum == aggregate, || {
-            format!("counters under {prefix}/ sum to {sum} but the aggregate is {aggregate}")
-        });
     }
 
     /// Credits never negative: on unsigned counters an underflow wraps,

@@ -10,15 +10,12 @@
 //! path pays a single relaxed atomic add per increment — no string
 //! hashing, no map lookup, no lock.
 //!
-//! The tree is the observable half of a two-sided contract: every
-//! counter group telescopes to an aggregate the simulation already
-//! maintains independently (per-queue sums == device totals, eSwitch
-//! miss == the NIC's classifier drop count, per-entity fault paths ==
-//! the [`crate::fault::FaultLedger`] book), and the
-//! [`crate::audit::Auditor`] enforces those equalities at every sample
-//! tick and at end-of-run. A [`CounterSnapshot`] freezes the tree for
-//! export: a versioned JSON dump plus an `ethtool -S`-style text
-//! rendering.
+//! A component's handle is the only store of the count it names: the
+//! component keeps a [`Counter::detached`] handle from construction,
+//! moves it into the tree with [`Counter::wire_into`] at wiring time,
+//! and its accessors read the handle. A [`CounterSnapshot`] freezes the
+//! tree for export: a versioned JSON dump plus an `ethtool -S`-style
+//! text rendering.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -63,6 +60,23 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
+    }
+
+    /// Moves this handle into `tree` at `path`: registers the path,
+    /// carries over whatever was counted while detached, and points the
+    /// handle at the tree's cell. Wiring-time only.
+    ///
+    /// The path must be new to `tree` (checked by `debug_assert!`): the
+    /// handle is the only store of its count, so two owners wired onto
+    /// one path would silently merge their counts.
+    pub fn wire_into(&mut self, tree: &CounterTree, path: &str) {
+        debug_assert!(
+            tree.get(path).is_none(),
+            "counter path {path:?} is already registered"
+        );
+        let wired = tree.counter(path);
+        wired.add(self.get());
+        *self = wired;
     }
 }
 
@@ -388,6 +402,39 @@ mod tests {
         c.add(7);
         assert_eq!(c.get(), 7);
         assert!(CounterTree::new().is_empty());
+    }
+
+    #[test]
+    fn wire_into_carries_the_detached_count_into_the_tree() {
+        let tree = CounterTree::new();
+        let mut c = Counter::detached();
+        c.add(3);
+        c.wire_into(&tree, "qp/256/retransmits");
+        assert_eq!(tree.get("qp/256/retransmits"), Some(3));
+        assert_eq!(c.get(), 3);
+    }
+
+    #[test]
+    fn increments_after_wire_into_land_in_the_tree() {
+        let tree = CounterTree::new();
+        let mut c = Counter::detached();
+        c.inc();
+        c.wire_into(&tree, "port/0/rx/packets");
+        c.add(4);
+        assert_eq!(tree.get("port/0/rx/packets"), Some(5));
+        assert_eq!(tree.sum_prefix("port/0"), 5);
+        assert_eq!(c.get(), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already registered")]
+    fn wire_into_refuses_a_path_already_in_the_tree() {
+        let tree = CounterTree::new();
+        let mut first = Counter::detached();
+        first.wire_into(&tree, "vf/0/rx_packets");
+        let mut second = Counter::detached();
+        second.wire_into(&tree, "vf/0/rx_packets");
     }
 
     #[test]

@@ -405,17 +405,14 @@ impl LedgerSummary {
 #[derive(Debug, Default)]
 struct LedgerInner {
     injected: [u64; FaultKind::ALL.len()],
-    recovered: u64,
-    dropped_counted: u64,
-    terminal: u64,
     /// Injected-but-unresolved faults awaiting recovery, oldest first.
     open: VecDeque<(FaultKind, SimTime)>,
     recovery_ns: Histogram,
-    /// Counter-tree mirrors of the three resolution totals, detached
-    /// until [`FaultLedger::wire_counters`] resolves them.
-    recovered_ctr: Counter,
-    dropped_counted_ctr: Counter,
-    terminal_ctr: Counter,
+    /// The three resolution totals, detached until
+    /// [`FaultLedger::wire_counters`] moves them into a tree.
+    recovered: Counter,
+    dropped_counted: Counter,
+    terminal: Counter,
 }
 
 impl LedgerInner {
@@ -423,20 +420,21 @@ impl LedgerInner {
         self.injected.iter().sum()
     }
 
+    fn summary(&self) -> LedgerSummary {
+        LedgerSummary {
+            injected: self.injected_total(),
+            recovered: self.recovered.get(),
+            dropped_counted: self.dropped_counted.get(),
+            terminal: self.terminal.get(),
+            open: self.open.len() as u64,
+        }
+    }
+
     fn resolve(&mut self, outcome: FaultOutcome, latency: Option<SimDuration>) {
         match outcome {
-            FaultOutcome::Recovered => {
-                self.recovered += 1;
-                self.recovered_ctr.inc();
-            }
-            FaultOutcome::DroppedCounted => {
-                self.dropped_counted += 1;
-                self.dropped_counted_ctr.inc();
-            }
-            FaultOutcome::Terminal => {
-                self.terminal += 1;
-                self.terminal_ctr.inc();
-            }
+            FaultOutcome::Recovered => self.recovered.inc(),
+            FaultOutcome::DroppedCounted => self.dropped_counted.inc(),
+            FaultOutcome::Terminal => self.terminal.inc(),
         }
         if let Some(d) = latency {
             self.recovery_ns.record(d.as_nanos());
@@ -478,17 +476,17 @@ impl FaultLedger {
 
     /// Faults resolved as transparently recovered.
     pub fn recovered(&self) -> u64 {
-        self.lock().recovered
+        self.lock().recovered.get()
     }
 
     /// Faults resolved by dropping-and-counting the affected packet.
     pub fn dropped_counted(&self) -> u64 {
-        self.lock().dropped_counted
+        self.lock().dropped_counted.get()
     }
 
     /// Faults resolved as terminal (recovery abandoned).
     pub fn terminal(&self) -> u64 {
-        self.lock().terminal
+        self.lock().terminal.get()
     }
 
     /// Injected faults still awaiting resolution.
@@ -499,21 +497,12 @@ impl FaultLedger {
     /// Injected faults with no accounting entry at all — zero whenever
     /// the ledger invariant holds.
     pub fn unaccounted(&self) -> u64 {
-        let b = self.lock();
-        b.injected_total()
-            .saturating_sub(b.recovered + b.dropped_counted + b.terminal + b.open.len() as u64)
+        self.summary().unaccounted()
     }
 
     /// Snapshots the book as a mergeable [`LedgerSummary`].
     pub fn summary(&self) -> LedgerSummary {
-        let b = self.lock();
-        LedgerSummary {
-            injected: b.injected_total(),
-            recovered: b.recovered,
-            dropped_counted: b.dropped_counted,
-            terminal: b.terminal,
-            open: b.open.len() as u64,
-        }
+        self.lock().summary()
     }
 
     /// Resolves an injection immediately (no open window).
@@ -595,15 +584,15 @@ impl FaultLedger {
     /// Runs the fault-accounting conservation check (see
     /// [`Auditor::check_fault_accounting`]).
     pub fn audit(&self, at: SimTime, component: &str, auditor: &mut Auditor) {
-        let b = self.lock();
+        let b = self.summary();
         auditor.check_fault_accounting(
             at,
             component,
-            b.injected_total(),
+            b.injected,
             b.recovered,
             b.dropped_counted,
             b.terminal,
-            b.open.len() as u64,
+            b.open,
         );
     }
 
@@ -616,25 +605,22 @@ impl FaultLedger {
         });
     }
 
-    /// Mirrors the three resolution totals into `tree` as
+    /// Moves the three resolution totals into `tree` as
     /// `recovery/recovered`, `recovery/dropped_counted` and
     /// `recovery/terminal`, so one counters artifact carries injection
     /// attribution *and* recovery accounting. Resolutions recorded
     /// before wiring are carried over.
     pub fn wire_counters(&self, tree: &CounterTree) {
         let mut b = self.lock();
-        b.recovered_ctr = tree.counter("recovery/recovered");
-        b.recovered_ctr.add(b.recovered);
-        b.dropped_counted_ctr = tree.counter("recovery/dropped_counted");
-        b.dropped_counted_ctr.add(b.dropped_counted);
-        b.terminal_ctr = tree.counter("recovery/terminal");
-        b.terminal_ctr.add(b.terminal);
+        b.recovered.wire_into(tree, "recovery/recovered");
+        b.dropped_counted
+            .wire_into(tree, "recovery/dropped_counted");
+        b.terminal.wire_into(tree, "recovery/terminal");
     }
 
     /// The counter-telescoping check for fault accounting: every
     /// injected fault of every kind must be attributed to a per-entity
-    /// `faults/<entity>/<kind>` counter path in `tree`, and the
-    /// `recovery/*` mirrors must match the book. Holds whenever every
+    /// `faults/<entity>/<kind>` counter path in `tree`. Holds whenever every
     /// injector recording into this ledger was wired into `tree` (see
     /// [`FaultInjector::wire_counters`]); an unwired injector on a
     /// shared ledger trips it by design — that fault would otherwise be
@@ -660,16 +646,6 @@ impl FaultLedger {
                 )
             });
         }
-        for (path, book) in [
-            ("recovery/recovered", b.recovered),
-            ("recovery/dropped_counted", b.dropped_counted),
-            ("recovery/terminal", b.terminal),
-        ] {
-            let ctr = tree.get(path).unwrap_or(0);
-            auditor.check(at, component, "fault-attribution", ctr == book, || {
-                format!("counter {path} reads {ctr} but the ledger books {book}")
-            });
-        }
     }
 
     /// Exports the book under `faults.*` / `recovery.*`. Every kind key is
@@ -683,9 +659,9 @@ impl FaultLedger {
                 b.injected[kind.index()],
             );
         }
-        registry.counter("recovery.recovered", b.recovered);
-        registry.counter("recovery.dropped_counted", b.dropped_counted);
-        registry.counter("recovery.terminal", b.terminal);
+        registry.counter("recovery.recovered", b.recovered.get());
+        registry.counter("recovery.dropped_counted", b.dropped_counted.get());
+        registry.counter("recovery.terminal", b.terminal.get());
         registry.counter("recovery.open", b.open.len() as u64);
         registry.histogram("recovery.time_ns", &b.recovery_ns);
         // Scalar mirrors of the recovery-time distribution, so MTTR is
@@ -863,6 +839,9 @@ mod tests {
     fn wired_injectors_attribute_every_fault_to_a_counter_path() {
         let tree = CounterTree::new();
         let ledger = FaultLedger::new();
+        // Resolutions booked before the ledger is wired carry over.
+        ledger.resolve(FaultOutcome::Recovered, None);
+        ledger.resolve(FaultOutcome::Terminal, None);
         ledger.wire_counters(&tree);
         let plan = FaultPlan::new(1.0, 3);
         let mut a = plan.injector("fld", &ledger);
@@ -874,8 +853,14 @@ mod tests {
         assert!(b.roll_resolved(FaultKind::AccelStall, FaultOutcome::Recovered, None));
         assert_eq!(tree.get("faults/fld/drop"), Some(2));
         assert_eq!(tree.get("faults/accel/accel_stall"), Some(1));
+        // Accessor == tree value == resolutions booked on both sides of
+        // the wire.
+        assert_eq!(ledger.dropped_counted(), 2);
         assert_eq!(tree.get("recovery/dropped_counted"), Some(2));
-        assert_eq!(tree.get("recovery/recovered"), Some(1));
+        assert_eq!(ledger.recovered(), 2);
+        assert_eq!(tree.get("recovery/recovered"), Some(2));
+        assert_eq!(ledger.terminal(), 1);
+        assert_eq!(tree.get("recovery/terminal"), Some(1));
         let mut auditor = Auditor::new();
         ledger.attribution_audit(SimTime::ZERO, "faults", &tree, &mut auditor);
         assert_eq!(auditor.violations(), 0);

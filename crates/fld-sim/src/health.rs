@@ -109,6 +109,20 @@ struct EntityHealth {
     recovered_ctr: Counter,
 }
 
+impl EntityHealth {
+    /// Moves the transition counters into `tree` under
+    /// `health/<label>/…`, carrying over earlier counts.
+    fn wire(&mut self, tree: &CounterTree) {
+        for (leaf, ctr) in [
+            ("suspect", &mut self.suspect_ctr),
+            ("down", &mut self.down_ctr),
+            ("recovered", &mut self.recovered_ctr),
+        ] {
+            ctr.wire_into(tree, &format!("health/{}/{leaf}", self.label));
+        }
+    }
+}
+
 /// The heartbeat watchdog over a set of registered entities.
 #[derive(Debug)]
 pub struct HealthMonitor {
@@ -143,49 +157,30 @@ impl HealthMonitor {
     /// counters land at `health/<label>/{suspect,down,recovered}` when a
     /// tree is wired.
     pub fn register(&mut self, label: impl Into<String>) -> HealthId {
-        let label = label.into();
-        let (suspect_ctr, down_ctr, recovered_ctr) = match &self.tree {
-            Some(tree) => (
-                tree.counter(&format!("health/{label}/suspect")),
-                tree.counter(&format!("health/{label}/down")),
-                tree.counter(&format!("health/{label}/recovered")),
-            ),
-            None => (
-                Counter::detached(),
-                Counter::detached(),
-                Counter::detached(),
-            ),
-        };
-        self.entities.push(EntityHealth {
-            label,
+        let mut e = EntityHealth {
+            label: label.into(),
             state: HealthState::Healthy,
             failed_at: None,
             recovering: false,
-            suspect_ctr,
-            down_ctr,
-            recovered_ctr,
-        });
+            suspect_ctr: Counter::detached(),
+            down_ctr: Counter::detached(),
+            recovered_ctr: Counter::detached(),
+        };
+        if let Some(tree) = &self.tree {
+            e.wire(tree);
+        }
+        self.entities.push(e);
         HealthId(self.entities.len() - 1)
     }
 
-    /// Mirrors per-entity transition counts into `tree` under
+    /// Moves per-entity transition counts into `tree` under
     /// `health/<label>/…` and the cumulative repair time under
     /// `recovery/mttr_ns`. Counts recorded before wiring carry over.
     pub fn wire_counters(&mut self, tree: &CounterTree) {
         for e in &mut self.entities {
-            for (leaf, ctr) in [
-                ("suspect", &mut e.suspect_ctr),
-                ("down", &mut e.down_ctr),
-                ("recovered", &mut e.recovered_ctr),
-            ] {
-                let wired = tree.counter(&format!("health/{}/{leaf}", e.label));
-                wired.add(ctr.get());
-                *ctr = wired;
-            }
+            e.wire(tree);
         }
-        let mttr = tree.counter("recovery/mttr_ns");
-        mttr.add(self.mttr_ctr.get());
-        self.mttr_ctr = mttr;
+        self.mttr_ctr.wire_into(tree, "recovery/mttr_ns");
         self.tree = Some(tree.clone());
     }
 
@@ -471,15 +466,21 @@ mod tests {
         mon.tick(SimTime::from_micros(60));
         mon.begin_recovery(n, SimTime::from_micros(70));
         mon.tick(SimTime::from_micros(80));
-        // Wire AFTER the episode: counts must carry over.
+        // Wire AFTER the first episode: its counts carry over, and a
+        // second episode lands on top.
         let tree = CounterTree::new();
         mon.wire_counters(&tree);
-        assert_eq!(tree.get("health/node/1/recovered"), Some(1));
-        assert_eq!(tree.get("recovery/mttr_ns"), Some(80_000));
+        mon.fail(n, SimTime::from_micros(100));
+        mon.begin_recovery(n, SimTime::from_micros(150));
+        mon.tick(SimTime::from_micros(160));
+        assert_eq!(tree.get("health/node/1/recovered"), Some(2));
+        assert_eq!(mon.mttr_ns().count(), 2);
+        assert_eq!(mon.mttr_ns().sum(), 140_000);
+        assert_eq!(tree.get("recovery/mttr_ns"), Some(140_000));
         // Entities registered after wiring attach live.
         let m2 = mon.register("node/2");
-        mon.fail(m2, SimTime::from_micros(100));
-        mon.tick(SimTime::from_micros(200));
+        mon.fail(m2, SimTime::from_micros(200));
+        mon.tick(SimTime::from_micros(300));
         assert_eq!(tree.get("health/node/2/down"), Some(1));
 
         let mut reg = MetricsRegistry::new();
